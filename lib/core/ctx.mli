@@ -40,14 +40,15 @@ val lock :
 val trace_event : t -> ?attrs:(string * Dmx_obs.Obs_json.t) list -> string ->
   unit
 (** Common observability service: emit a point event tagged with the calling
-    transaction. No-op (one branch) unless tracing is enabled. *)
+    transaction. No-op (one branch) unless [Dmx_obs.Trace.enabled ()]. *)
 
 val with_span : t -> ?attrs:(string * Dmx_obs.Obs_json.t) list -> string ->
   (unit -> ('a, Error.t) result) -> ('a, Error.t) result
 (** Common observability service: bracket [f] in a trace span tagged with the
     calling transaction. The outcome is derived from the result — [ok],
     [veto] ({!Error.Veto}), [error] (other [Error.t]), or [exn] (re-raised).
-    When tracing is disabled this is exactly [f ()]. *)
+    The span is charged to its own name in the profile. With no trace
+    consumer subscribed this is exactly [f ()]. *)
 
 val defer : t -> Dmx_txn.Txn.event -> (unit -> unit) -> unit
 (** Deferred-action queue service. *)

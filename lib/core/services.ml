@@ -160,13 +160,13 @@ let checkpoint ?(truncate = true) t =
         Dmx_obs.Metrics.add m_ckpt_pages written;
         if Dmx_obs.Trace.enabled () then
           Dmx_obs.Trace.event "ckpt.complete"
-            ~attrs:
+            ~attrs:(fun () ->
               [ ("lsn", Dmx_obs.Obs_json.Int (Int64.to_int ck_lsn));
                 ("dirty_pages", Dmx_obs.Obs_json.Int (List.length dpt));
                 ("written", Dmx_obs.Obs_json.Int written);
                 ("active", Dmx_obs.Obs_json.Int (List.length active));
                 ("truncated_records", Dmx_obs.Obs_json.Int trecords);
-                ("truncated_bytes", Dmx_obs.Obs_json.Int tbytes) ];
+                ("truncated_bytes", Dmx_obs.Obs_json.Int tbytes) ]);
         let stats =
           {
             ck_lsn;
@@ -309,7 +309,7 @@ let savepoint ctx name = Dmx_txn.Txn_mgr.savepoint ctx.Ctx.txn_mgr ctx.Ctx.txn n
 let rollback_to ctx name =
   Dmx_txn.Txn_mgr.rollback_to ctx.Ctx.txn_mgr ctx.Ctx.txn name
 
-let with_txn t f =
+let run_txn t f =
   let ctx = begin_txn t in
   match f ctx with
   | Ok v ->
@@ -320,6 +320,22 @@ let with_txn t f =
     e
   | exception e ->
     if Dmx_txn.Txn.is_active ctx.Ctx.txn then abort t ctx;
+    raise e
+
+let with_txn t f =
+  let sp =
+    Dmx_obs.Trace.enter Dmx_obs.Trace.txn_root
+      ~txid:(Dmx_txn.Txn_mgr.next_txid t.txn_mgr)
+  in
+  match run_txn t f with
+  | Ok _ as r ->
+    Dmx_obs.Trace.exit_span sp;
+    r
+  | Error _ as r ->
+    Dmx_obs.Trace.exit_span sp ~outcome:"abort";
+    r
+  | exception e ->
+    Dmx_obs.Trace.exit_span sp ~outcome:"exn";
     raise e
 
 let close t =

@@ -69,7 +69,9 @@ val savepoint : Ctx.t -> string -> unit
 val rollback_to : Ctx.t -> string -> unit
 
 val with_txn : t -> (Ctx.t -> ('a, Error.t) result) -> ('a, Error.t) result
-(** Begin; commit on [Ok], abort on [Error] or exception. *)
+(** Begin; commit on [Ok], abort on [Error] or exception. The whole
+    transaction — begin, body, commit or abort — runs under one root
+    [Dmx_obs.Trace.txn_root] span tagged with the transaction's id. *)
 
 val close : t -> unit
 (** Clean shutdown: force pages, save the catalog, close files. *)

@@ -54,9 +54,9 @@ let detect table =
     Dmx_obs.Metrics.incr m_victims;
     if Dmx_obs.Trace.enabled () then
       Dmx_obs.Trace.event "deadlock.victim" ~txid:victim
-        ~attrs:
+        ~attrs:(fun () ->
           [ ("victim", Dmx_obs.Obs_json.Int victim);
             ( "cycle",
               Dmx_obs.Obs_json.List
-                (List.map (fun tx -> Dmx_obs.Obs_json.Int tx) cycle) ) ];
+                (List.map (fun tx -> Dmx_obs.Obs_json.Int tx) cycle) ) ]);
     Some victim

@@ -98,32 +98,32 @@ let observe_conflict ~txid ~mode resource holders =
   Dmx_obs.Metrics.incr m_conflicts;
   if Dmx_obs.Trace.enabled () then
     Dmx_obs.Trace.event "lock.conflict" ~txid
-      ~attrs:
+      ~attrs:(fun () ->
         [ ("resource", Dmx_obs.Obs_json.Str (Fmt.str "%a" pp_resource resource));
           ("mode", Dmx_obs.Obs_json.Str (Lock_mode.to_string mode));
           ( "holders",
             Dmx_obs.Obs_json.List
-              (List.map (fun h -> Dmx_obs.Obs_json.Int h) holders) ) ]
+              (List.map (fun h -> Dmx_obs.Obs_json.Int h) holders) ) ])
 
 let observe_outcome ~txid ~mode resource = function
   | Granted -> Dmx_obs.Metrics.incr m_grants
   | Would_block holders -> observe_conflict ~txid ~mode resource holders
 
 let acquire t ~txid ~mode resource =
-  let fr = Dmx_obs.Profile.begin_frame ~txid Dmx_obs.Profile.Lock in
+  let sp = Dmx_obs.Trace.enter ~key:Dmx_obs.Trace.Lock ~txid "lock.acquire" in
   match try_acquire t ~txid ~mode resource with
   | Granted as o ->
-    Dmx_obs.Profile.end_frame fr;
+    Dmx_obs.Trace.exit_span sp;
     Dmx_obs.Metrics.incr m_grants;
     notify_grant t ~txid resource mode;
     o
   | Would_block holders as o ->
-    Dmx_obs.Profile.end_frame fr ~outcome:`Error;
+    Dmx_obs.Trace.exit_span sp ~outcome:"blocked";
     observe_conflict ~txid ~mode resource holders;
     o
 
 let enqueue t ~txid ~mode resource =
-  let fr = Dmx_obs.Profile.begin_frame ~txid Dmx_obs.Profile.Lock in
+  let sp = Dmx_obs.Trace.enter ~key:Dmx_obs.Trace.Lock ~txid "lock.enqueue" in
   let e = entry t resource in
   (* No barging: a request joins the queue behind existing waiters of other
      transactions even when it is compatible with the current holders,
@@ -148,10 +148,10 @@ let enqueue t ~txid ~mode resource =
   in
   (match outcome with
   | Granted ->
-    Dmx_obs.Profile.end_frame fr;
+    Dmx_obs.Trace.exit_span sp;
     notify_grant t ~txid resource mode
   | Would_block _ ->
-    Dmx_obs.Profile.end_frame fr ~outcome:`Error;
+    Dmx_obs.Trace.exit_span sp ~outcome:"blocked";
     Dmx_obs.Metrics.incr m_waits);
   observe_outcome ~txid ~mode resource outcome;
   outcome

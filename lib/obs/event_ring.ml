@@ -11,11 +11,6 @@ type entry = {
   e_slow : bool;
 }
 
-let env_enables var =
-  match Sys.getenv_opt var with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
-
 let env_int var default =
   match Sys.getenv_opt var with
   | None -> default
@@ -31,13 +26,6 @@ let env_float var default =
     match float_of_string_opt (String.trim s) with
     | Some f when f >= 0. -> f
     | Some _ | None -> default)
-
-let on = ref (env_enables "DMX_EVENTS") [@@dmx.global "config-immutable-after-setup"]
-let enabled () = !on
-
-(* Trace's combined gate refreshes off this toggle; filled at Trace init. *)
-let on_toggle : (unit -> unit) ref = ref (fun () -> ()) [@@dmx.global "config-immutable-after-setup"]
-let set_on_toggle f = on_toggle := f
 
 let slow_threshold = ref (env_float "DMX_SLOW_US" 10_000.) [@@dmx.global "config-immutable-after-setup"]
 let slow_us () = !slow_threshold
@@ -86,28 +74,35 @@ let set_capacity n =
   ring.size <- 0;
   ring.seq <- 0
 
-let set_enabled b =
-  on := b;
-  !on_toggle ()
+let push ~kind ~name ~txid ~us ~outcome =
+  let cap = Array.length ring.entries in
+  ring.seq <- ring.seq + 1;
+  ring.entries.(ring.head) <-
+    {
+      e_seq = ring.seq;
+      e_ts = Unix.gettimeofday ();
+      e_kind = kind;
+      e_name = name;
+      e_txid = txid;
+      e_us = us;
+      e_outcome = outcome;
+      e_slow = (!slow_threshold > 0. && us >= !slow_threshold);
+    };
+  ring.head <- (ring.head + 1) mod cap;
+  if ring.size < cap then ring.size <- ring.size + 1
+
+(* The ring's [Trace] subscription: every closed span and every event. *)
+let consume (sp : Trace.span) =
+  push
+    ~kind:(if sp.instant then Event else Span)
+    ~name:sp.name ~txid:sp.txid ~us:sp.us ~outcome:sp.outcome
+
+let enabled () = Trace.subscribed consume
+let set_enabled b = Trace.set_subscribed consume b
+let () = Trace.subscribe_from_env "DMX_EVENTS" consume
 
 let record ~kind ~name ~txid ~us ~outcome =
-  if !on then begin
-    let cap = Array.length ring.entries in
-    ring.seq <- ring.seq + 1;
-    ring.entries.(ring.head) <-
-      {
-        e_seq = ring.seq;
-        e_ts = Unix.gettimeofday ();
-        e_kind = kind;
-        e_name = name;
-        e_txid = txid;
-        e_us = us;
-        e_outcome = outcome;
-        e_slow = (!slow_threshold > 0. && us >= !slow_threshold);
-      };
-    ring.head <- (ring.head + 1) mod cap;
-    if ring.size < cap then ring.size <- ring.size + 1
-  end
+  if enabled () then push ~kind ~name ~txid ~us ~outcome
 
 let snapshot () =
   let cap = Array.length ring.entries in
@@ -116,3 +111,13 @@ let snapshot () =
 
 let total () = ring.seq
 let dropped () = ring.seq - ring.size
+
+(* Loss signals were invisible: the ring forgets silently and the file sink
+   truncates silently. Fold both into the metrics exposition so
+   [show stats] / [dmx_metrics] can tell when telemetry itself is lossy. *)
+let () =
+  Metrics.register_probe "telemetry_loss" (fun () ->
+      [
+        ("events.dropped", dropped ());
+        ("trace.truncated", if Trace.truncated () then 1 else 0);
+      ])

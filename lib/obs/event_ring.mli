@@ -6,12 +6,12 @@
     watch it live. Storage is a preallocated circular buffer — once full, the
     oldest entry is overwritten (see {!dropped} for how many were lost).
 
-    Disabled (the default) recording is a single branch and allocates
-    nothing; nothing here takes a lock, so the off path is safe to leave in
-    the hot dispatch sites ("lock-free when off"). Enable with [DMX_EVENTS=1]
-    or {!set_enabled}; enabling also arms {!Trace.enabled} so the existing
-    emission points fire. Entries whose duration reaches the slow-operation
-    threshold ([DMX_SLOW_US], default 10000) are tagged slow. *)
+    The ring is a {!Trace} consumer: enabling it ([DMX_EVENTS=1] or
+    {!set_enabled}) subscribes it, which opens the shared [Trace.enabled]
+    gate so the existing emission points fire. Unsubscribed (the default)
+    it costs nothing; nothing here takes a lock ("lock-free when off").
+    Entries whose duration reaches the slow-operation threshold
+    ([DMX_SLOW_US], default 10000) are tagged slow. *)
 
 type kind = Span | Event
 
@@ -57,8 +57,3 @@ val dropped : unit -> int
 
 val reset : unit -> unit
 (** Clear entries and counters; keeps enabled state, capacity, threshold. *)
-
-val set_on_toggle : (unit -> unit) -> unit
-(** Internal: [Trace] registers a callback here so ring toggles refresh the
-    combined [Trace.enabled] gate (and, through its toggle hooks, the
-    profiler's dispatch gate). *)

@@ -1,53 +1,18 @@
 (* Per-transaction latency attribution across the extension architecture's
-   component boundaries. A [frame] brackets one unit of attributable work —
-   a storage-method slot call, an attachment side-effect, a lock
-   acquisition, a WAL append/flush, a buffer-pool fill, or a named span —
-   and closing it charges the elapsed time to the (transaction, kind) entry.
-   Nesting is tracked so a parent's {e self} time excludes its children
-   (smethod.insert excludes the WAL append it triggered, relation.insert
-   excludes both). *)
+   component boundaries. Profile is a [Trace] consumer: every closed span is
+   charged to its (transaction, key) row — a storage-method slot, an
+   attachment type, the lock table, the WAL, the buffer pool, or the span's
+   own name. The span stack has already split the duration into self and
+   child time (smethod.insert's self time excludes the WAL append it
+   triggered, relation.insert's excludes both). *)
 
-type kind =
+type kind = Trace.key =
   | Smethod of int
   | Attachment of int
   | Lock
   | Wal
   | Bp
   | Span of string
-
-type frame = {
-  fr_txid : int;
-  fr_kind : kind;
-  fr_start : float;
-  mutable fr_child : float;  (* us charged to enclosed frames *)
-}
-
-type outcome = [ `Ok | `Veto | `Error | `Exn ]
-
-let env_enables var =
-  match Sys.getenv_opt var with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
-
-let on = ref (env_enables "DMX_PROFILE") [@@dmx.global "config-immutable-after-setup"]
-
-(* Combined dispatch gate: the instrumented (slow) paths in [Relation] are
-   entered when either tracing or profiling wants them, at the cost of a
-   single load on the fast path. Refreshed on every toggle of either. *)
-let hot = ref (!on || Trace.enabled ()) [@@dmx.global "config-immutable-after-setup"]
-let refresh () = hot := !on || Trace.enabled ()
-let () = Trace.add_toggle_hook (fun _ -> refresh ())
-let enabled () = !on
-
-let set_enabled b =
-  on := b;
-  refresh ()
-
-let instrumented () = !hot
-
-(* ---- frame stack and attribution table ---- *)
-
-let null_frame = { fr_txid = 0; fr_kind = Lock; fr_start = 0.; fr_child = 0. } [@@dmx.global "config-immutable-after-setup"]
 
 type entry = {
   mutable e_calls : int;
@@ -58,22 +23,6 @@ type entry = {
 }
 
 let table : (int * kind, entry) Hashtbl.t = Hashtbl.create 64 [@@dmx.global "UNSAFE"]
-let stack : frame list ref = ref [] [@@dmx.global "UNSAFE"]
-
-let begin_frame ~txid kind =
-  if not !on then null_frame
-  else begin
-    let txid =
-      if txid >= 0 then txid
-      else match !stack with [] -> 0 | f :: _ -> f.fr_txid
-    in
-    let fr =
-      { fr_txid = txid; fr_kind = kind; fr_start = Unix.gettimeofday ();
-        fr_child = 0. }
-    in
-    stack := fr :: !stack;
-    fr
-  end
 
 let entry_for key =
   match Hashtbl.find_opt table key with
@@ -86,40 +35,21 @@ let entry_for key =
     Hashtbl.replace table key e;
     e
 
-let end_frame ?(outcome = `Ok) fr =
-  if fr != null_frame then begin
-    (* pop up to and including [fr]; tolerate imbalance like [Trace]. *)
-    let rec pop = function
-      | [] -> []
-      | f :: rest -> if f == fr then rest else pop rest
-    in
-    stack := pop !stack;
-    let elapsed = (Unix.gettimeofday () -. fr.fr_start) *. 1e6 in
-    (match !stack with
-    | parent :: _ -> parent.fr_child <- parent.fr_child +. elapsed
-    | [] -> ());
-    let e = entry_for (fr.fr_txid, fr.fr_kind) in
+let charge (sp : Trace.span) =
+  if not sp.instant then begin
+    let e = entry_for (sp.txid, sp.key) in
     e.e_calls <- e.e_calls + 1;
-    e.e_total_us <- e.e_total_us +. elapsed;
-    e.e_self_us <- e.e_self_us +. Float.max 0. (elapsed -. fr.fr_child);
-    match outcome with
-    | `Ok -> ()
-    | `Veto -> e.e_vetoes <- e.e_vetoes + 1
-    | `Error | `Exn -> e.e_errors <- e.e_errors + 1
+    e.e_total_us <- e.e_total_us +. sp.us;
+    e.e_self_us <- e.e_self_us +. sp.self_us;
+    match sp.outcome with
+    | "ok" -> ()
+    | "veto" -> e.e_vetoes <- e.e_vetoes + 1
+    | _ -> e.e_errors <- e.e_errors + 1
   end
 
-let with_frame ~txid kind f =
-  if not !on then f ()
-  else begin
-    let fr = begin_frame ~txid kind in
-    match f () with
-    | v ->
-      end_frame fr;
-      v
-    | exception e ->
-      end_frame fr ~outcome:`Exn;
-      raise e
-  end
+let enabled () = Trace.subscribed charge
+let set_enabled b = Trace.set_subscribed charge b
+let () = Trace.subscribe_from_env "DMX_PROFILE" charge
 
 (* ---- naming ---- *)
 
@@ -196,9 +126,7 @@ let txids () =
   Hashtbl.iter (fun (t, _) _ -> Hashtbl.replace seen t ()) table;
   Hashtbl.fold (fun t () acc -> t :: acc) seen [] |> List.sort compare
 
-let reset () =
-  Hashtbl.reset table;
-  stack := []
+let reset () = Hashtbl.reset table
 
 let pp_rows ppf rows =
   let render r =

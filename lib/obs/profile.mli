@@ -2,47 +2,28 @@
 
     The paper's extension architecture routes every data operation through
     procedure vectors (storage methods) and attachment side-effects; this
-    module answers "where did the transaction's wall-clock go?" by charging
-    bracketed {e frames} of work to an attribution table keyed by
-    transaction id and component {!kind}. Span nesting separates {e self}
-    time from child time: a storage-method frame's self time excludes the
-    WAL append it triggered, an attachment frame's excludes the buffer-pool
-    fill under it.
+    module answers "where did the transaction's wall-clock go?". It is a
+    {!Trace} consumer: every closed span is charged to an attribution table
+    keyed by transaction id and the span's {!kind}. The span stack supplies
+    {e self} time (duration minus direct children), so a storage-method
+    span's self time excludes the WAL append it triggered, an attachment
+    span's excludes the buffer-pool fill under it, and the self times of one
+    transaction add up to its root span's duration.
 
-    Disabled (the default) every entry point is a single branch and
-    allocates nothing — the same discipline as [Metrics]/[Trace]. Enable
-    with [DMX_PROFILE=1] or {!set_enabled}. *)
+    Unsubscribed (the default) it costs nothing beyond the shared
+    [Trace.enabled] branch. Enable with [DMX_PROFILE=1] or {!set_enabled}. *)
 
-type kind =
+type kind = Trace.key =
   | Smethod of int  (** storage-method vector, slot = registry id *)
   | Attachment of int  (** attachment-type vector, slot = registry id *)
-  | Lock  (** lock-table wait/acquire *)
+  | Lock  (** lock-table acquire *)
   | Wal  (** log append and flush *)
   | Bp  (** buffer-pool miss fill *)
-  | Span of string  (** named region via [Ctx.with_span] *)
-
-type frame
-type outcome = [ `Ok | `Veto | `Error | `Exn ]
+  | Span of string  (** any other named span *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-
-val instrumented : unit -> bool
-(** The combined dispatch gate: true when tracing {e or} profiling is on.
-    [Relation]'s fast paths branch on this single load to decide whether to
-    enter the instrumented path at all. *)
-
-val begin_frame : txid:int -> kind -> frame
-(** Open a frame. [txid < 0] inherits the enclosing frame's transaction
-    (0 when there is none). Disabled, returns a preallocated null frame;
-    pass only constant [kind]s on paths that must not allocate. *)
-
-val end_frame : ?outcome:outcome -> frame -> unit
-(** Close the frame and charge its elapsed time. [`Veto] and
-    [`Error]/[`Exn] also bump the entry's veto/error tallies. *)
-
-val with_frame : txid:int -> kind -> (unit -> 'a) -> 'a
-(** Bracket [f]; an escaping exception closes the frame with [`Exn]. *)
+(** Subscribe or unsubscribe the profiler from {!Trace}. *)
 
 val set_key_namer : (kind -> string option) -> unit
 (** Resolve slot ids to names ([Services.setup] installs a namer backed by
@@ -52,7 +33,7 @@ type row = {
   r_name : string;
   r_calls : int;
   r_total_us : float;
-  r_self_us : float;  (** total minus time charged to enclosed frames *)
+  r_self_us : float;  (** total minus time spent in direct child spans *)
   r_vetoes : int;
   r_errors : int;
 }
@@ -64,7 +45,7 @@ val txn_report : int -> row list
 val txids : unit -> int list
 
 val reset : unit -> unit
-(** Drop the attribution table and any open frames. *)
+(** Drop the attribution table. *)
 
 val pp_report : Format.formatter -> unit -> unit
 (** The [show profile] rendering: the merged table, then one per

@@ -7,19 +7,14 @@
    short history of plan hashes so a plan flip is detectable the moment it
    happens.
 
-   Disabled (the default) the observation path is one load + one branch and
-   allocates nothing — same discipline as [Metrics]/[Profile]; the caller is
-   expected to gate the construction of the [exec] record on [enabled ()].
+   Disabled (the default) the observation path is one branch and allocates
+   nothing — same discipline as [Metrics]/[Trace]; the caller is expected to
+   gate the construction of the [exec] record on [enabled ()].
 
    Eviction is LRU by a monotonic touch tick; at capacity the victim is
    found by an O(capacity) min-scan. Capacity is a few hundred entries, the
    scan runs once per *new* fingerprint (not per execution), so the cost is
    negligible against parsing + planning a brand-new statement shape. *)
-
-let env_enables var =
-  match Sys.getenv_opt var with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
 
 let default_capacity = 128
 let max_plan_history = 4
@@ -29,16 +24,20 @@ let env_capacity () =
   | Some s -> (match int_of_string_opt s with Some n when n > 0 -> n | _ -> default_capacity)
   | None -> default_capacity
 
-let on = ref (env_enables "DMX_QUERYSTORE") [@@dmx.global "config-immutable-after-setup"]
 let capacity = ref (env_capacity ()) [@@dmx.global "config-immutable-after-setup"]
 
-let enabled () = !on
+(* The store's [Trace] subscription takes nothing from the span stream: its
+   totals arrive from [Stmt_obs] at statement close. Subscribing opens the
+   shared gate, which is what arms [Stmt_obs]. *)
+let subscription (_ : Trace.span) = ()
+let enabled () = Trace.subscribed subscription
+let () = Trace.subscribe_from_env "DMX_QUERYSTORE" subscription
 
 (* Statement stats without counters would be blind — and the store's own
    histograms go through [Metrics.observe], which is gated on the metrics
    flag (the Trace precedent: set_enabled true pulls metrics up too). *)
 let set_enabled b =
-  on := b;
+  Trace.set_subscribed subscription b;
   if b then Metrics.set_enabled true
 
 let set_capacity n = if n > 0 then capacity := n
@@ -177,7 +176,7 @@ let note_plan e hash now =
     | { pu_hash = old; _ } :: _ -> Plan_changed old)
 
 let record x =
-  if not !on then Plan_off
+  if not (enabled ()) then Plan_off
   else begin
     let now = Unix.gettimeofday () in
     let e =

@@ -9,11 +9,12 @@
     deltas, lock pressure, attachment vetoes, and the last few plan hashes
     with first-seen/last-seen stamps.
 
-    Disabled (the default), {!record} is one load + one branch and the
-    caller is expected to gate [exec] construction on {!enabled} — the same
-    zero-allocation discipline as [Metrics]/[Profile]. Enabled by
-    [DMX_QUERYSTORE=1] (capacity [DMX_QUERYSTORE_MAX], default 128) or
-    {!set_enabled}. At capacity the least-recently-touched entry is evicted
+    Disabled (the default), {!record} is one branch and the caller is
+    expected to gate [exec] construction on {!enabled} — the same
+    zero-allocation discipline as [Metrics]/[Trace]. Enabling subscribes
+    the store to {!Trace}, which opens the shared gate [Stmt_obs] reads.
+    Enabled by [DMX_QUERYSTORE=1] (capacity [DMX_QUERYSTORE_MAX], default
+    128) or {!set_enabled}. At capacity the least-recently-touched entry is evicted
     and counted; the O(capacity) victim scan runs once per {e new}
     fingerprint, never per execution. *)
 

@@ -1,10 +1,27 @@
+type key =
+  | Smethod of int
+  | Attachment of int
+  | Lock
+  | Wal
+  | Bp
+  | Span of string
+
+type attrs = (string * Obs_json.t) list
+
 type span = {
   id : int;
   parent : int;
   name : string;
   txid : int;
+  key : key;
   start : float;
-  mutable sp_attrs : (string * Obs_json.t) list;
+  instant : bool;
+  attrs : unit -> attrs;
+  mutable child_us : float;
+  mutable us : float;
+  mutable self_us : float;
+  mutable outcome : string;
+  mutable exit_attrs : unit -> attrs;
 }
 
 let env_enables var =
@@ -12,33 +29,24 @@ let env_enables var =
   | Some ("1" | "true" | "yes" | "on") -> true
   | Some _ | None -> false
 
-(* [json_on] gates the JSON-lines sink alone. [on] — the gate every
-   instrumented call site reads through [enabled] — is the union of the sink
-   and the event ring, so arming either one lights up the same PR2 emission
-   points; the disabled path stays the single load-and-branch it always was. *)
-let json_on = ref (env_enables "DMX_TRACE") [@@dmx.global "config-immutable-after-setup"]
-let on = ref (!json_on || Event_ring.enabled ()) [@@dmx.global "config-immutable-after-setup"]
+(* ---- subscribers: the one gate ---- *)
+
+(* Every consumer (the JSON sink below, Profile, Event_ring, Query_store) is
+   a function on closed spans. [on] is true iff at least one is subscribed;
+   it is the only gate instrumented call sites read. *)
+type consumer = span -> unit
+
+let consumers : consumer list ref = ref [] [@@dmx.global "config-immutable-after-setup"]
+let on = ref false [@@dmx.global "config-immutable-after-setup"]
 let enabled () = !on
+let subscribed c = List.memq c !consumers
 
-(* Other gates (Profile's combined dispatch gate) refresh off this toggle. *)
-let toggle_hooks : (bool -> unit) list ref = ref [] [@@dmx.global "config-immutable-after-setup"]
-let add_toggle_hook f = toggle_hooks := f :: !toggle_hooks
+let set_subscribed c b =
+  let others = List.filter (fun c' -> c' != c) !consumers in
+  consumers := if b then others @ [ c ] else others;
+  on := !consumers <> []
 
-(* forward reference so set_enabled can flush; filled below *)
-let flush_hook : (unit -> unit) ref = ref (fun () -> ()) [@@dmx.global "config-immutable-after-setup"]
-
-let refresh_combined () =
-  on := !json_on || Event_ring.enabled ();
-  List.iter (fun f -> f !on) !toggle_hooks
-
-(* An Event_ring toggle changes the combined gate just like [set_enabled]. *)
-let () = Event_ring.set_on_toggle refresh_combined
-
-let set_enabled b =
-  json_on := b;
-  if b then Metrics.set_enabled true;
-  if not b then !flush_hook ();
-  refresh_combined ()
+let subscribe_from_env var c = if env_enables var then set_subscribed c true
 
 (* ---- sink ---- *)
 
@@ -66,7 +74,6 @@ let file_sinks : file_sink list ref = ref [] [@@dmx.global "config-immutable-aft
 let flush_sink () =
   List.iter (fun fs -> try flush fs.fs_oc with Sys_error _ -> ()) !file_sinks
 
-let () = flush_hook := flush_sink
 let () = at_exit flush_sink
 
 let file_sink_write fs line =
@@ -89,16 +96,6 @@ let file_sink_write fs line =
   end
 
 let truncated () = List.exists (fun fs -> fs.fs_truncated) !file_sinks
-
-(* Loss signals were invisible: the ring forgets silently and the file sink
-   truncates silently. Fold both into the metrics exposition so
-   [show stats] / [dmx_metrics] can tell when telemetry itself is lossy. *)
-let () =
-  Metrics.register_probe "telemetry_loss" (fun () ->
-      [
-        ("events.dropped", Event_ring.dropped ());
-        ("trace.truncated", if truncated () then 1 else 0);
-      ])
 
 let make_file_sink path =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
@@ -134,67 +131,105 @@ let emit line =
 
 let emitted () = !emitted_count
 
+(* The JSON-lines consumer. Attributes are built here, at render time, so
+   no other consumer pays for them. *)
+let render sp =
+  let buf = Buffer.create 160 in
+  Buffer.add_char buf '{';
+  Buffer.add_string buf (Printf.sprintf "\"ts\":%.6f," sp.start);
+  Buffer.add_string buf
+    (Printf.sprintf "\"ev\":%S," (if sp.instant then "event" else "span"));
+  Buffer.add_string buf
+    (Printf.sprintf "\"id\":%d,\"parent\":%d,\"txn\":%d," sp.id sp.parent
+       sp.txid);
+  Buffer.add_string buf "\"name\":";
+  Obs_json.to_buffer buf (Obs_json.Str sp.name);
+  if not sp.instant then begin
+    Buffer.add_string buf (Printf.sprintf ",\"us\":%.1f" sp.us);
+    Buffer.add_string buf ",\"outcome\":";
+    Obs_json.to_buffer buf (Obs_json.Str sp.outcome)
+  end;
+  (match sp.attrs () @ sp.exit_attrs () with
+  | [] -> ()
+  | attrs ->
+    Buffer.add_string buf ",\"attrs\":";
+    Obs_json.to_buffer buf (Obs_json.Obj attrs));
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
+let json_consumer sp = emit (render sp)
+
+let set_enabled b =
+  set_subscribed json_consumer b;
+  if b then Metrics.set_enabled true else flush_sink ()
+
+let () = subscribe_from_env "DMX_TRACE" json_consumer
+
 (* ---- span stack ---- *)
 
 let next_id = ref 0 [@@dmx.global "UNSAFE"]
 let stack : span list ref = ref [] [@@dmx.global "UNSAFE"]
-let depth () = List.length !stack
+
+let txn_root = "txn"
+
+let depth () =
+  let rec count n = function
+    | [] -> n
+    | s :: rest -> if String.equal s.name txn_root then n else count (n + 1) rest
+  in
+  count 0 !stack
+
+let no_attrs () = []
 
 let null_span =
-  { id = 0; parent = 0; name = ""; txid = 0; start = 0.; sp_attrs = [] } [@@dmx.global "config-immutable-after-setup"]
+  {
+    id = 0; parent = 0; name = ""; txid = 0; key = Lock; start = 0.;
+    instant = true; attrs = no_attrs; child_us = 0.; us = 0.; self_us = 0.;
+    outcome = ""; exit_attrs = no_attrs;
+  } [@@dmx.global "config-immutable-after-setup"]
 
 let reset_for_testing () =
   stack := [];
   next_id := 0;
   emitted_count := 0
 
-let render ~ev ~id ~parent ~txid ~name ~us ~outcome ~attrs ~ts =
-  let buf = Buffer.create 160 in
-  Buffer.add_char buf '{';
-  Buffer.add_string buf (Printf.sprintf "\"ts\":%.6f," ts);
-  Buffer.add_string buf (Printf.sprintf "\"ev\":%S," ev);
-  Buffer.add_string buf (Printf.sprintf "\"id\":%d,\"parent\":%d,\"txn\":%d," id parent txid);
-  Buffer.add_string buf "\"name\":";
-  Obs_json.to_buffer buf (Obs_json.Str name);
-  (match us with
-  | Some us -> Buffer.add_string buf (Printf.sprintf ",\"us\":%.1f" us)
-  | None -> ());
-  (match outcome with
-  | Some o ->
-    Buffer.add_string buf ",\"outcome\":";
-    Obs_json.to_buffer buf (Obs_json.Str o)
-  | None -> ());
-  if attrs <> [] then begin
-    Buffer.add_string buf ",\"attrs\":";
-    Obs_json.to_buffer buf (Obs_json.Obj attrs)
-  end;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let publish sp = List.iter (fun c -> c sp) !consumers
 
-let enter ?(txid = 0) ?(attrs = []) name =
+(* A negative [txid] inherits the enclosing span's transaction. *)
+let make ~instant ?key ~attrs ~txid name =
+  incr next_id;
+  let parent, inherited =
+    match !stack with [] -> (0, 0) | s :: _ -> (s.id, s.txid)
+  in
+  {
+    id = !next_id;
+    parent;
+    name;
+    txid = (if txid >= 0 then txid else inherited);
+    key = (match key with Some k -> k | None -> Span name);
+    start = Unix.gettimeofday ();
+    instant;
+    attrs;
+    child_us = 0.;
+    us = 0.;
+    self_us = 0.;
+    outcome = (if instant then "" else "ok");
+    exit_attrs = no_attrs;
+  }
+
+let enter ?key ?(attrs = no_attrs) ~txid name =
   if not !on then null_span
   else begin
-    incr next_id;
-    let parent = match !stack with [] -> 0 | s :: _ -> s.id in
-    let sp =
-      {
-        id = !next_id;
-        parent;
-        name;
-        txid;
-        start = Unix.gettimeofday ();
-        sp_attrs = attrs;
-      }
-    in
+    let sp = make ~instant:false ?key ~attrs ~txid name in
     stack := sp :: !stack;
     sp
   end
 
-let add_attr sp key v =
-  if sp != null_span then sp.sp_attrs <- sp.sp_attrs @ [ (key, v) ]
-
-let exit_span ?(outcome = "ok") ?(attrs = []) sp =
-  if !on && sp != null_span then begin
+(* Duration and self time (duration minus direct children) are computed
+   here, once, for every consumer. A span opened before its consumers left
+   is still popped, so the stack stays balanced across a toggle. *)
+let exit_span ?(outcome = "ok") ?attrs sp =
+  if sp != null_span then begin
     (* pop up to and including [sp]; tolerate an unbalanced stack rather
        than wedging tracing (the sanitizer reports the imbalance). *)
     let rec pop = function
@@ -202,41 +237,28 @@ let exit_span ?(outcome = "ok") ?(attrs = []) sp =
       | s :: rest -> if s == sp then rest else pop rest
     in
     stack := pop !stack;
-    let now = Unix.gettimeofday () in
-    let us = (now -. sp.start) *. 1e6 in
-    if !json_on then
-      emit
-        (render ~ev:"span" ~id:sp.id ~parent:sp.parent ~txid:sp.txid
-           ~name:sp.name ~us:(Some us) ~outcome:(Some outcome)
-           ~attrs:(sp.sp_attrs @ attrs) ~ts:sp.start);
-    Event_ring.record ~kind:Event_ring.Span ~name:sp.name ~txid:sp.txid ~us
-      ~outcome
+    let us = (Unix.gettimeofday () -. sp.start) *. 1e6 in
+    sp.us <- us;
+    sp.self_us <- Float.max 0. (us -. sp.child_us);
+    sp.outcome <- outcome;
+    (match attrs with Some a -> sp.exit_attrs <- a | None -> ());
+    (match !stack with p :: _ -> p.child_us <- p.child_us +. us | [] -> ());
+    if !on then publish sp
   end
 
-let event ?(txid = -1) ?(attrs = []) name =
-  if !on then begin
-    incr next_id;
-    let parent, inherited =
-      match !stack with [] -> (0, 0) | s :: _ -> (s.id, s.txid)
-    in
-    let txid = if txid >= 0 then txid else inherited in
-    if !json_on then
-      emit
-        (render ~ev:"event" ~id:!next_id ~parent ~txid ~name ~us:None
-           ~outcome:None ~attrs ~ts:(Unix.gettimeofday ()));
-    Event_ring.record ~kind:Event_ring.Event ~name ~txid ~us:0. ~outcome:""
-  end
+let event ?(txid = -1) ?(attrs = no_attrs) name =
+  if !on then publish (make ~instant:true ~attrs ~txid name)
 
-let with_span ?txid ?attrs name f =
+let with_span ?key ?attrs ?(txid = -1) name f =
   if not !on then f ()
   else begin
-    let sp = enter ?txid ?attrs name in
+    let sp = enter ?key ?attrs ~txid name in
     match f () with
     | v ->
       exit_span sp;
       v
     | exception e ->
       exit_span sp ~outcome:"exn"
-        ~attrs:[ ("exn", Obs_json.Str (Printexc.to_string e)) ];
+        ~attrs:(fun () -> [ ("exn", Obs_json.Str (Printexc.to_string e)) ]);
       raise e
   end

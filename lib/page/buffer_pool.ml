@@ -141,9 +141,9 @@ let evict_slot t =
   Dmx_obs.Metrics.incr m_evictions;
   if Dmx_obs.Trace.enabled () then
     Dmx_obs.Trace.event "bp.evict"
-      ~attrs:
+      ~attrs:(fun () ->
         [ ("page", Dmx_obs.Obs_json.Int f.page_id);
-          ("dirty", Dmx_obs.Obs_json.Bool f.dirty) ];
+          ("dirty", Dmx_obs.Obs_json.Bool f.dirty) ]);
   write_back t f;
   Slot_map.remove t.slots f.page_id;
   t.arr.(i) <- None;
@@ -177,14 +177,13 @@ let pin ?(txid = -1) t page_id =
     frame
   | None ->
     (Disk.stats t.disk).pool_misses <- (Disk.stats t.disk).pool_misses + 1;
-    if Dmx_obs.Trace.enabled () then
-      Dmx_obs.Trace.event "bp.miss"
-        ~attrs:[ ("page", Dmx_obs.Obs_json.Int page_id) ];
     (* the fill (plus any eviction write-back it forces) is charged to the
-       caller's transaction, falling back to the enclosing frame's *)
-    let fr = Dmx_obs.Profile.begin_frame ~txid Dmx_obs.Profile.Bp in
+       caller's transaction, falling back to the enclosing span's *)
+    let sp = Dmx_obs.Trace.enter ~key:Dmx_obs.Trace.Bp ~txid "bp.miss" in
     let frame = install t page_id (Disk.read t.disk page_id) in
-    Dmx_obs.Profile.end_frame fr;
+    if Dmx_obs.Trace.enabled () then
+      Dmx_obs.Trace.exit_span sp ~attrs:(fun () ->
+          [ ("page", Dmx_obs.Obs_json.Int page_id) ]);
     frame
 
 let unpin ?(dirty = false) ?lsn t frame =

@@ -40,7 +40,7 @@ val pin : ?txid:int -> t -> int -> frame
 (** Fetch (or find cached) page; increments the pin count. Raises [Failure]
     when every frame is pinned. On a miss, [txid] charges the fill (and any
     eviction write-back it forces) to that transaction in the profile;
-    omitted, the cost falls to the enclosing profile frame's transaction. *)
+    omitted, the cost falls to the enclosing span's transaction. *)
 
 val unpin : ?dirty:bool -> ?lsn:int64 -> t -> frame -> unit
 (** Release one pin; [dirty] marks the frame modified and [lsn] records the

@@ -8,8 +8,9 @@
    runs, diffs them after, and emits the plan.changed / stmt.slow events
    the store itself only detects.
 
-   Everything is off unless the store or tracing is armed; the inactive
-   path of [observed] is two loads and a branch, and allocates nothing. *)
+   Everything is off unless a [Trace] consumer is subscribed (the store is
+   one); the inactive path of [observed] is one branch on that shared gate,
+   and allocates nothing. *)
 
 module Obs = Dmx_obs
 module Ctx = Dmx_core.Ctx
@@ -21,7 +22,6 @@ let m_waits = Obs.Metrics.counter "lock.waits"
 let m_wal_bytes = Obs.Metrics.counter "wal.appended_bytes"
 let m_vetoes = Obs.Metrics.counter "dispatch.vetoes"
 
-let active () = Obs.Query_store.enabled () || Obs.Trace.enabled ()
 
 let ignore_plan (_ : int64) = ()
 
@@ -30,18 +30,15 @@ let hex_attr = function
   | None -> Obs.Obs_json.Str ""
 
 let observed ctx ~text ~rows f =
-  if not (active ()) then f ~set_plan:ignore_plan
+  if not (Obs.Trace.enabled ()) then f ~set_plan:ignore_plan
   else begin
     let norm = Fingerprint.normalize text in
     let fp = Fingerprint.hash norm in
     let txid = ctx.Ctx.txn.Dmx_txn.Txn.id in
     let span =
-      Obs.Trace.enter "stmt.exec" ~txid
-        ~attrs:
-          (if Obs.Trace.enabled () then
-             [ ("fp", Obs.Obs_json.Str (Fingerprint.hex fp));
-               ("text", Obs.Obs_json.Str norm) ]
-           else [])
+      Obs.Trace.enter "stmt.exec" ~txid ~attrs:(fun () ->
+          [ ("fp", Obs.Obs_json.Str (Fingerprint.hex fp));
+            ("text", Obs.Obs_json.Str norm) ])
     in
     let io = Dmx_page.Disk.stats (Dmx_page.Buffer_pool.disk ctx.Ctx.bp) in
     let io0 = Dmx_page.Io_stats.copy io in
@@ -95,10 +92,8 @@ let observed ctx ~text ~rows f =
               ("plan", hex_attr !plan) ];
       Obs.Trace.exit_span span
         ~outcome:(if error then "error" else "ok")
-        ~attrs:
-          (if Obs.Trace.enabled () then
-             [ ("rows", Obs.Obs_json.Int rows); ("plan", hex_attr !plan) ]
-           else [])
+        ~attrs:(fun () ->
+          [ ("rows", Obs.Obs_json.Int rows); ("plan", hex_attr !plan) ])
     in
     match f ~set_plan with
     | Ok v as r ->

@@ -7,12 +7,9 @@
     totals into {!Dmx_obs.Query_store}. It emits the [plan.changed] event
     when the store detects a fingerprint's plan hash flipping, and the
     [stmt.slow] event (literal text, plan hash, bound stats) when the
-    execution crosses [Event_ring.slow_us]. Inactive — store disabled and
-    tracing off — the wrapper is two loads and a branch, and allocates
-    nothing. *)
-
-val active : unit -> bool
-(** Anything to observe: the query store is enabled or tracing is armed. *)
+    execution crosses [Event_ring.slow_us]. Inactive — no [Trace] consumer
+    subscribed, the query store included — the wrapper is one branch on
+    [Trace.enabled ()] and allocates nothing. *)
 
 val observed :
   Dmx_core.Ctx.t ->

@@ -85,7 +85,7 @@ let log_op ctx rel_id op =
 (* ---- page helpers ---- *)
 
 (* Pins name the transaction explicitly so a page fill (and any eviction
-   write-back it forces) is attributed to it even when no profile frame is
+   write-back it forces) is attributed to it even when no span is
    open — e.g. during scan stepping. *)
 let with_page ctx page f =
   let frame =

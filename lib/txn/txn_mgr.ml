@@ -61,6 +61,7 @@ let begin_txn t =
   if Dmx_obs.Trace.enabled () then Dmx_obs.Trace.event "txn.begin" ~txid:id;
   txn
 
+let next_txid t = t.next_txid
 let find_txn t id = Hashtbl.find_opt t.active id
 let active_txns t = Hashtbl.fold (fun _ tx acc -> tx :: acc) t.active []
 

@@ -37,6 +37,10 @@ val set_commit_observer : t -> (unit -> unit) -> unit
     fuzzy checkpoint every N records/bytes without quiescing. *)
 
 val begin_txn : t -> Txn.t
+
+val next_txid : t -> int
+(** The id the next {!begin_txn} will assign. *)
+
 val find_txn : t -> int -> Txn.t option
 val active_txns : t -> Txn.t list
 

@@ -208,7 +208,7 @@ let set_truncate_observer t f = t.truncate_observer <- f
 
 let append t txid kind =
   check_open t;
-  let fr = Dmx_obs.Profile.begin_frame ~txid Dmx_obs.Profile.Wal in
+  let sp = Dmx_obs.Trace.enter ~key:Dmx_obs.Trace.Wal ~txid "wal.append" in
   let r = add_index t txid kind in
   (match t.backend with
   | Mem -> t.flushed <- r.Log_record.lsn
@@ -220,13 +220,11 @@ let append t txid kind =
     Dmx_obs.Metrics.add m_appended_bytes framed;
     f.buffered <- f.buffered + 1);
   t.append_observer r.Log_record.lsn;
-  Dmx_obs.Profile.end_frame fr;
   Dmx_obs.Metrics.incr m_appends;
   if Dmx_obs.Trace.enabled () then
-    Dmx_obs.Trace.event "wal.append" ~txid
-      ~attrs:
+    Dmx_obs.Trace.exit_span sp ~attrs:(fun () ->
         [ ("lsn", Dmx_obs.Obs_json.Int (Int64.to_int r.Log_record.lsn));
-          ("kind", Dmx_obs.Obs_json.Str (Fmt.str "%a" Log_record.pp_kind kind)) ];
+          ("kind", Dmx_obs.Obs_json.Str (Fmt.str "%a" Log_record.pp_kind kind)) ]);
   r.Log_record.lsn
 
 let last_lsn t = Int64.of_int (t.base + t.count)
@@ -248,15 +246,12 @@ let flush ?upto ?(sync = true) t =
        flushes (group commit), even when nothing new is pending. *)
     let need_sync = sync && (need_write || f.synced < f.size) in
     if need_write || need_sync then begin
-      (* the flush frame inherits the enclosing frame's transaction: a
+      (* the flush span inherits the enclosing span's transaction: a
          commit-path flush charges the committing transaction, an
          eviction-path flush charges whoever faulted the page *)
-      let fr = Dmx_obs.Profile.begin_frame ~txid:(-1) Dmx_obs.Profile.Wal in
-      let observed =
-        Dmx_obs.Metrics.enabled () || Dmx_obs.Trace.enabled ()
-        || Dmx_obs.Profile.enabled ()
-      in
-      let t0 = if observed then Unix.gettimeofday () else 0. in
+      let sp = Dmx_obs.Trace.enter ~key:Dmx_obs.Trace.Wal ~txid:(-1) "wal.flush" in
+      let timed = Dmx_obs.Metrics.enabled () in
+      let t0 = if timed then Unix.gettimeofday () else 0. in
       let records = f.buffered in
       if need_write then begin
         (* Write every pending record in one contiguous write; fine-grained
@@ -275,22 +270,19 @@ let flush ?upto ?(sync = true) t =
         f.synced <- f.size;
         Dmx_obs.Metrics.incr m_fsyncs
       end;
-      Dmx_obs.Profile.end_frame fr;
-      if observed then begin
-        let us = (Unix.gettimeofday () -. t0) *. 1e6 in
+      if timed then begin
         if need_write then begin
           Dmx_obs.Metrics.incr m_flushes;
           Dmx_obs.Metrics.add m_flushed_records records
         end;
-        Dmx_obs.Metrics.observe h_flush_us us;
-        if Dmx_obs.Trace.enabled () then
-          Dmx_obs.Trace.event "wal.flush"
-            ~attrs:
-              [ ("records", Dmx_obs.Obs_json.Int records);
-                ("synced", Dmx_obs.Obs_json.Bool need_sync);
-                ("upto", Dmx_obs.Obs_json.Int (Int64.to_int t.flushed));
-                ("us", Dmx_obs.Obs_json.Float us) ]
-      end
+        Dmx_obs.Metrics.observe h_flush_us
+          ((Unix.gettimeofday () -. t0) *. 1e6)
+      end;
+      if Dmx_obs.Trace.enabled () then
+        Dmx_obs.Trace.exit_span sp ~attrs:(fun () ->
+            [ ("records", Dmx_obs.Obs_json.Int records);
+              ("synced", Dmx_obs.Obs_json.Bool need_sync);
+              ("upto", Dmx_obs.Obs_json.Int (Int64.to_int t.flushed)) ])
     end
 
 let sync t = flush t
@@ -403,10 +395,10 @@ let truncate_before t cut =
     Dmx_obs.Metrics.add m_truncated_bytes freed;
     if Dmx_obs.Trace.enabled () then
       Dmx_obs.Trace.event "wal.truncate"
-        ~attrs:
+        ~attrs:(fun () ->
           [ ("cut", Dmx_obs.Obs_json.Int (t.base + 1));
             ("dropped", Dmx_obs.Obs_json.Int drop);
-            ("bytes", Dmx_obs.Obs_json.Int freed) ];
+            ("bytes", Dmx_obs.Obs_json.Int freed) ]);
     t.truncate_observer Trunc_done;
     (drop, freed)
   end

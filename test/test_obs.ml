@@ -175,6 +175,70 @@ let test_span_nesting_and_veto () =
         (List.exists (fun l -> contains l "\"name\":\"wal.append\"") lines));
   Db.close db
 
+(* One root per transaction: [Db.with_txn] opens a [txn] span around begin,
+   body and commit, so the statement, the commit and everything under them
+   (WAL appends included, now spans) hang off a single root. *)
+let test_one_root_per_txn () =
+  ignore (fresh_services ());
+  let db = Db.open_database () in
+  with_obs (fun () ->
+      let lines = ref [] in
+      Trace.set_sink (fun l -> lines := l :: !lines);
+      Trace.set_enabled true;
+      let r =
+        Db.with_txn db (fun ctx ->
+            ignore
+              (check_ok "create"
+                 (Db.create_relation db ctx ~name:"emp_root" ~schema:emp_schema
+                    ()));
+            ignore
+              (check_ok "insert"
+                 (Db.insert db ctx ~relation:"emp_root" (emp 1 "ada" "eng" 120)));
+            ignore
+              (check_ok "query"
+                 (Db.query db ctx (Query.select ~where:"id = 1" "emp_root") ()));
+            Ok ())
+      in
+      ignore (check_ok "txn" r);
+      let spans =
+        List.filter (fun l -> contains l "\"ev\":\"span\"") !lines
+      in
+      let parent_of = Hashtbl.create 64 in
+      List.iter
+        (fun l -> Hashtbl.replace parent_of (json_int l "id") (json_int l "parent"))
+        spans;
+      let root =
+        match List.filter (fun l -> json_int l "parent" = 0) spans with
+        | [ l ] -> l
+        | roots ->
+          Alcotest.failf "expected exactly one root span, got %d"
+            (List.length roots)
+      in
+      Alcotest.(check bool) "the root is the txn span" true
+        (contains root "\"name\":\"txn\"");
+      let root_id = json_int root "id" in
+      let rec reaches_root id =
+        id = root_id
+        || (match Hashtbl.find_opt parent_of id with
+           | Some p when p <> 0 -> reaches_root p
+           | _ -> false)
+      in
+      List.iter
+        (fun name ->
+          match
+            List.find_opt
+              (fun l -> contains l (Fmt.str "\"name\":%S" name))
+              spans
+          with
+          | None -> Alcotest.failf "no %s span emitted" name
+          | Some l ->
+            Alcotest.(check bool)
+              (Fmt.str "%s descends from the txn root" name)
+              true
+              (reaches_root (json_int l "parent")))
+        [ "txn.commit"; "stmt.exec"; "smethod.insert"; "wal.append" ]);
+  Db.close db
+
 (* ---- counters wired into the substrate ---- *)
 
 let test_lock_conflict_counter () =
@@ -250,6 +314,8 @@ let suite =
     Alcotest.test_case "json exposition" `Quick test_json_exposition;
     Alcotest.test_case "span nesting and veto outcome" `Quick
       test_span_nesting_and_veto;
+    Alcotest.test_case "one root span per transaction" `Quick
+      test_one_root_per_txn;
     Alcotest.test_case "lock conflict counters" `Quick
       test_lock_conflict_counter;
     Alcotest.test_case "plan-cache accounting" `Quick

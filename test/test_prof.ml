@@ -73,11 +73,11 @@ let test_attribution_with_trace_off () =
   ignore (fresh_services ());
   let db = Db.open_database () in
   with_prof (fun () ->
-      (* profiling alone, tracing off: the combined gate must still open the
-         instrumented dispatch paths *)
+      (* profiling alone, JSON sink off: the profiler's subscription must
+         still open the instrumented dispatch paths *)
       Profile.set_enabled true;
       Profile.reset ();
-      Alcotest.(check bool) "gate open" true (Profile.instrumented ());
+      Alcotest.(check bool) "gate open" true (Trace.enabled ());
       let r =
         Db.with_txn db (fun ctx ->
             seed_checked_rel db ctx;
@@ -127,14 +127,59 @@ let test_attribution_with_trace_off () =
         (contains rendered "attach:check" && contains rendered "smethod:heap"));
   Db.close db
 
+(* One span stack: every span of the transaction nests under its [txn]
+   root and is charged to the same transaction, so the self times of the
+   transaction's rows add up to the root's duration. *)
+let test_attribution_adds_up () =
+  ignore (fresh_services ());
+  let db = Db.open_database () in
+  with_prof (fun () ->
+      Profile.set_enabled true;
+      Profile.reset ();
+      let txid = ref (-1) in
+      let r =
+        Db.with_txn db (fun ctx ->
+            txid := ctx.Dmx_core.Ctx.txn.Dmx_txn.Txn.id;
+            seed_checked_rel db ctx;
+            for i = 1 to 20 do
+              ignore
+                (check_ok "insert"
+                   (Db.insert db ctx ~relation:"emp_prof"
+                      (emp i (Fmt.str "u%d" i) "eng" (50 + i))))
+            done;
+            ignore
+              (check_ok "query"
+                 (Db.query db ctx
+                    (Query.select ~where:"salary > 60" "emp_prof") ()));
+            Ok ())
+      in
+      ignore (check_ok "txn" r);
+      let rows = Profile.txn_report !txid in
+      let root =
+        match List.find_opt (fun r -> r.Profile.r_name = "span:txn") rows with
+        | Some r -> r
+        | None -> Alcotest.fail "no span:txn row for the transaction"
+      in
+      Alcotest.(check int) "one root" 1 root.Profile.r_calls;
+      let self =
+        List.fold_left (fun acc r -> acc +. r.Profile.r_self_us) 0. rows
+      in
+      Alcotest.(check bool)
+        (Fmt.str "self times (%.1f us) add up to the root (%.1f us)" self
+           root.Profile.r_total_us)
+        true
+        (Float.abs (self -. root.Profile.r_total_us)
+        <= 0.01 *. root.Profile.r_total_us));
+  Db.close db
+
 let test_disabled_frames_allocate_nothing () =
   with_prof (fun () ->
       Profile.set_enabled false;
-      Alcotest.(check bool) "gate closed" false (Profile.instrumented ());
+      Alcotest.(check bool) "gate closed" false (Trace.enabled ());
       let w0 = Gc.minor_words () in
       for _ = 1 to 10_000 do
-        let fr = Profile.begin_frame ~txid:(-1) Profile.Lock in
-        Profile.end_frame fr
+        let sp = Trace.enter ~key:Trace.Lock ~txid:(-1) "lock" in
+        Trace.exit_span sp
       done;
       let words = Gc.minor_words () -. w0 in
       Alcotest.(check bool)
@@ -464,6 +509,8 @@ let suite =
     Alcotest.test_case "histogram quantiles" `Quick test_metrics_quantile;
     Alcotest.test_case "attribution with tracing off" `Quick
       test_attribution_with_trace_off;
+    Alcotest.test_case "attribution adds up to the root span" `Quick
+      test_attribution_adds_up;
     Alcotest.test_case "disabled frames allocate nothing" `Quick
       test_disabled_frames_allocate_nothing;
     Alcotest.test_case "buffer-pool miss charged to caller txid" `Quick

@@ -193,6 +193,32 @@ let open_db () =
   ignore (fresh_services ());
   Db.open_database ()
 
+(* With every trace consumer unsubscribed the statement observer is one
+   branch on the shared gate, as its interface promises. *)
+let test_inactive_observed_no_alloc () =
+  with_store (fun () ->
+      let db = open_db () in
+      let ctx = Db.begin_txn db in
+      Query_store.set_enabled false;
+      Alcotest.(check bool) "no consumer subscribed" false
+        (Dmx_obs.Trace.enabled ());
+      let body ~set_plan =
+        ignore set_plan;
+        Ok 0
+      in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        ignore
+          (Dmx_query.Stmt_obs.observed ctx ~text:"SELECT * FROM t" ~rows:Fun.id
+             body)
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool)
+        (Fmt.str "inactive observed allocates nothing (%.0f words)" words)
+        true (words < 256.);
+      Db.abort db ctx;
+      Db.close db)
+
 let seed db n =
   check_ok "seed"
     (Db.with_txn db (fun ctx ->
@@ -346,6 +372,8 @@ let suite =
     Alcotest.test_case "plan notes" `Quick test_plan_notes;
     Alcotest.test_case "disabled mode allocates nothing" `Quick
       test_disabled_no_alloc;
+    Alcotest.test_case "inactive statement path allocates nothing" `Quick
+      test_inactive_observed_no_alloc;
     Alcotest.test_case "query path records" `Quick test_query_path_records;
     Alcotest.test_case "plan change emits event" `Quick
       test_plan_change_emits_event;
