@@ -1521,9 +1521,9 @@ let pr5_e10 () =
      truncation retains %d of %d (gate: both < 1/4)" s8c s8p r8c r8p
 
 (* PR E11 — the vectorized read path (dmx-readpath): run-at-a-time scans
-   through the optional [sm_scan_batch] vector slot plus once-per-plan
-   compiled predicates, against the seed read path (record-at-a-time
-   [rs_next] + interpreted [Eval.test] per record). The pin counter is the
+   through the storage methods plus once-per-plan compiled predicates,
+   against the seed read path (record-at-a-time reference readers from
+   [Seed_read] + interpreted [Eval.test] per record). The pin counter is the
    deterministic half of the claim: a heap batch scan pins each page once,
    where the record path pins per record. *)
 let pr5_e11 () =
@@ -1558,25 +1558,23 @@ let pr5_e11 () =
             [| Value.String (Fmt.str "d%d" d); Value.int d |]))
   done;
   Db.commit db ctx;
-  let heap_pages =
-    List.filter_map
-      (function Record_key.Rid { page; _ } -> Some page | _ -> None)
-      heap_keys
-    |> List.sort_uniq compare |> List.length
-  in
+  let heap_page_list = Seed_read.pages_of heap_keys in
+  let heap_pages = List.length heap_page_list in
   let pred = Dmx_expr.Parse.parse_exn emp_schema "salary > 60000 AND dept = 'd3'" in
   let ctx = Db.begin_txn db in
   let hdesc = ok "employee" (Db.relation db ctx "employee") in
   let bdesc = ok "kemp" (Db.relation db ctx "kemp") in
   let ddesc = ok "dept" (Db.relation db ctx "dept") in
-  (* the seed read path: one rs_next per record, the interpreter re-walking
-     the predicate tree per record *)
-  let seed_scan desc () =
-    let scan = ok "scan" (Relation.scan ctx desc ()) in
+  (* the seed read path: one reference-reader step per record, the
+     interpreter re-walking the predicate tree per record *)
+  let heap_reader () = Seed_read.heap ctx ~pages:heap_page_list in
+  let btree_reader () = Seed_read.btree (Dmx_smethod.Btree_org.tree ctx bdesc) in
+  let seed_scan reader () =
+    let next = reader () in
     let n = ref 0 in
     let rec loop () =
-      match scan.Dmx_core.Intf.rs_next () with
-      | None -> scan.Dmx_core.Intf.rs_close ()
+      match next () with
+      | None -> ()
       | Some (_, r) ->
         if Dmx_expr.Eval.test r pred then incr n;
         loop ()
@@ -1610,11 +1608,11 @@ let pr5_e11 () =
     let _, _, d = with_io db f in
     d.Io_stats.pool_hits + d.Io_stats.pool_misses
   in
-  let hn_seed, ht_seed = measure (seed_scan hdesc) in
+  let hn_seed, ht_seed = measure (seed_scan heap_reader) in
   let hn_batch, ht_batch = measure (batch_scan hdesc) in
-  let bn_seed, bt_seed = measure (seed_scan bdesc) in
+  let bn_seed, bt_seed = measure (seed_scan btree_reader) in
   let bn_batch, bt_batch = measure (batch_scan bdesc) in
-  let hp_seed = pins (seed_scan hdesc) in
+  let hp_seed = pins (seed_scan heap_reader) in
   let hp_batch = pins (batch_scan hdesc) in
   (* the same logical join, both ways: record-at-a-time outer + keyed inner
      record scan + interpreted residual, vs the executor pulling runs with
@@ -1623,23 +1621,22 @@ let pr5_e11 () =
     Dmx_expr.Parse.parse_exn emp_schema "salary > 99000 AND dept = 'd3'"
   in
   let seed_join () =
-    let scan = ok "scan" (Relation.scan ctx hdesc ()) in
+    let next = heap_reader () in
     let out = ref 0 in
     let rec loop () =
-      match scan.Dmx_core.Intf.rs_next () with
-      | None -> scan.Dmx_core.Intf.rs_close ()
+      match next () with
+      | None -> ()
       | Some (_, r) ->
         if Dmx_expr.Eval.test r jpred then begin
           let inner =
-            ok "inner"
-              (Relation.scan ctx ddesc
-                 ~lo:(Dmx_core.Intf.Incl [| r.(2) |])
-                 ~hi:(Dmx_core.Intf.Incl [| r.(2) |])
-                 ())
+            Seed_read.btree
+              ~lo:(Dmx_btree.Btree.Incl [| r.(2) |])
+              ~hi:(Dmx_btree.Btree.Incl [| r.(2) |])
+              (Dmx_smethod.Btree_org.tree ctx ddesc)
           in
           let rec drain () =
-            match inner.Dmx_core.Intf.rs_next () with
-            | None -> inner.Dmx_core.Intf.rs_close ()
+            match inner () with
+            | None -> ()
             | Some _ ->
               incr out;
               drain ()

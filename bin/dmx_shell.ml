@@ -232,8 +232,8 @@ let keys_matching st ctx rel where =
         | Error m -> err "bad predicate: %s" m)
       where
   in
-  let scan = ok (Relation.scan ctx desc ?filter ()) in
-  Dmx_core.Scan_help.record_scan_to_list scan
+  Dmx_core.Scan_help.run_scan_to_list
+    (ok (Relation.scan_batch ctx desc ?filter ()))
 
 (* select <cols|*> from <rel> [join <rel2> on <f1> = <f2>] [where ...]
    Shared by select, explain and explain analyze. [line] is the raw

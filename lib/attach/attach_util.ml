@@ -62,10 +62,10 @@ let scan_relation ctx (desc : Dmx_catalog.Descriptor.t) f =
   in
   let scan = M.scan ctx desc () in
   let rec loop () =
-    match scan.Intf.rs_next () with
-    | None -> scan.Intf.rs_close ()
-    | Some (key, record) ->
-      f key record;
+    match scan.Intf.rn_next () with
+    | None -> scan.Intf.rn_close ()
+    | Some run ->
+      Array.iter (fun (key, record) -> f key record) run;
       loop ()
   in
   loop ()

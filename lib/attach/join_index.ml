@@ -83,7 +83,7 @@ let other_matches ctx inst value =
       let (module M : Intf.STORAGE_METHOD) =
         Registry.storage_method other_desc.smethod_id
       in
-      Scan_help.record_scan_to_list (M.scan ctx other_desc ~filter ())
+      Scan_help.run_scan_to_list (M.scan ctx other_desc ~filter ())
 
 (* ---- log payloads ---- *)
 

@@ -61,8 +61,7 @@ let find_matching ctx rel_id fields values =
     let (module M : Intf.STORAGE_METHOD) =
       Registry.storage_method desc.smethod_id
     in
-    let scan = M.scan ctx desc ?filter () in
-    Scan_help.record_scan_to_list scan
+    Scan_help.run_scan_to_list (M.scan ctx desc ?filter ())
 
 let any_null values = Array.exists (fun v -> v = Value.Null) values
 

@@ -58,7 +58,7 @@ module type STORAGE_METHOD = sig
 
   val scan :
     Ctx.t -> Descriptor.t -> ?lo:key_bound -> ?hi:key_bound ->
-    ?filter:Dmx_expr.Expr.t -> unit -> record_scan
+    ?filter:Dmx_expr.Expr.t -> unit -> run_scan
 
   val key_fields : Descriptor.t -> int array option
   val record_count : Ctx.t -> Descriptor.t -> int

@@ -17,30 +17,39 @@ type key_bound =
   | Excl of Value.t array
   | Unbounded
 
-(** A key-sequential record stream from a storage method.
+(** A record-at-a-time cursor: the view {!Scan_help.records} builds over a
+    {!run_scan}, and what [Relation.scan] returns.
 
     Scan-position semantics follow the paper (p. 223): a scan is *on* the last
     item returned; deleting the item at the current position leaves the scan
     just *after* it; [next] always returns the first item after the current
     position. [capture] snapshots the position and returns the thunk restoring
-    it (run after partial rollback). *)
+    it (run after partial rollback). Visibility of concurrent changes is
+    run-granular, as for the runs underneath: see {!run_scan}. *)
 type record_scan = {
   rs_next : unit -> (Record_key.t * Record.t) option;
   rs_close : unit -> unit;
   rs_capture : unit -> (unit -> unit);
 }
 
-(** One run of a vectorized scan: records delivered in scan order. Runs are
-    never empty — a producer whose remaining records are all filtered out
-    returns [None] from [rn_next] instead of an empty array. *)
+(** One run of a scan: records delivered in scan order. Runs are never
+    empty — a producer whose remaining records are all filtered out returns
+    [None] from [rn_next] instead of an empty array. *)
 type record_run = (Record_key.t * Record.t) array
 
-(** The batch counterpart of {!record_scan}: same key-sequential order and
-    scan-position semantics, delivered a run at a time. The scan position
-    after [rn_next] is *on the last record of the run*; [rn_capture]
-    snapshots between runs. Dispatched through [Registry.Vec.sm_scan_batch],
-    which defaults to chunking the method's record-at-a-time scan, so a
-    native producer is purely an optimization. *)
+(** Key-sequential access, a run at a time: the one scan protocol storage
+    methods implement.
+
+    Positions are run-granular. After [rn_next] the scan is on the last
+    record the producer examined for that run, and the next run starts
+    after it; [rn_capture] snapshots that position. A run is a snapshot
+    taken when [rn_next] returns it. A record deleted before its run is
+    read is never returned; a record deleted after its run was read is
+    still in that run, and the record view still returns it. A consumer
+    that must see its own changes drains the scan before it modifies the
+    relation. The record view adds the index within the current run to its
+    own capture, so a savepoint taken mid-run restores to the exact
+    record. *)
 type run_scan = {
   rn_next : unit -> record_run option;
   rn_close : unit -> unit;
@@ -108,11 +117,13 @@ module type STORAGE_METHOD = sig
 
   val scan :
     Ctx.t -> Descriptor.t -> ?lo:key_bound -> ?hi:key_bound ->
-    ?filter:Dmx_expr.Expr.t -> unit -> record_scan
-  (** Key-sequential access. [lo]/[hi] bound the storage method's key order
-      when it has one; [filter] is evaluated by the common predicate service
-      against each record while it is in the buffer pool — non-qualifying
-      records are skipped inside the storage method. *)
+    ?filter:Dmx_expr.Expr.t -> unit -> run_scan
+  (** Key-sequential access, delivered in runs ({!run_scan}). [lo]/[hi]
+      bound the storage method's key order when it has one; [filter] is
+      evaluated by the common predicate service against each record while
+      it is in the buffer pool — non-qualifying records are skipped inside
+      the storage method. A method with a record-at-a-time producer gets
+      runs from {!Scan_help.filtered}. *)
 
   val key_fields : Descriptor.t -> int array option
   (** Record-key composition when keys are field-composed ([None] for

@@ -71,19 +71,6 @@ module Vec = struct
 
   let at_on_insert_batch =
     Array.init Descriptor.max_attachment_types default_at_on_insert_batch [@@dmx.global "config-immutable-after-setup"]
-
-  (* The scan-batch entry defaults to chunking the method's record-at-a-time
-     scan into runs of [Scan_help.run_length] records, so a native run
-     producer is purely an optimization. There is no per-record scan vector
-     to fall back on (scans dispatch through the module handle), so an
-     unoccupied slot reports vector + id like the other stubs. *)
-  let default_sm_scan_batch id ctx desc ~lo ~hi ~filter =
-    match smethods.(id) with
-    | None -> unregistered "sm_scan_batch" id
-    | Some (module M : Intf.STORAGE_METHOD) ->
-      Scan_help.runs_of_scan (M.scan ctx desc ~lo ~hi ?filter ())
-
-  let sm_scan_batch = Array.init max_storage_methods default_sm_scan_batch [@@dmx.global "config-immutable-after-setup"]
 end
 
 let check_not_frozen what =
@@ -140,12 +127,6 @@ let set_sm_insert_batch id f =
     invalid_arg "Registry.set_sm_insert_batch: bad id";
   Vec.sm_insert_batch.(id) <- f
 
-let set_sm_scan_batch id f =
-  check_not_frozen (Fmt.str "batch scan for storage method %d" id);
-  if id < 0 || id >= max_storage_methods then
-    invalid_arg "Registry.set_sm_scan_batch: bad id";
-  Vec.sm_scan_batch.(id) <- f
-
 let set_at_insert_batch id f =
   check_not_frozen (Fmt.str "batch insert for attachment %d" id);
   if id < 0 || id >= Descriptor.max_attachment_types then
@@ -178,10 +159,7 @@ let reset_for_testing () =
     Vec.sm_insert_batch;
   Array.iteri
     (fun i _ -> Vec.at_on_insert_batch.(i) <- Vec.default_at_on_insert_batch i)
-    Vec.at_on_insert_batch;
-  Array.iteri
-    (fun i _ -> Vec.sm_scan_batch.(i) <- Vec.default_sm_scan_batch i)
-    Vec.sm_scan_batch
+    Vec.at_on_insert_batch
 
 let storage_method id =
   match

@@ -38,17 +38,6 @@ val set_sm_insert_batch :
     slot, so registering one is purely an optimization. Raises after
     {!freeze} or for an out-of-range id. *)
 
-val set_sm_scan_batch :
-  int ->
-  (Ctx.t -> Descriptor.t -> lo:Intf.key_bound -> hi:Intf.key_bound ->
-   filter:Dmx_expr.Expr.t option -> Intf.run_scan) ->
-  unit
-(** Override the optional vectorized-scan entry of a storage method's
-    procedure vector. Without an override the entry chunks the method's
-    record-at-a-time [scan] into runs of {!Scan_help.run_length} records, so
-    registering one is purely an optimization. Raises after {!freeze} or for
-    an out-of-range id. *)
-
 val set_at_insert_batch :
   int ->
   (Ctx.t -> Descriptor.t -> slot:string -> (Record_key.t * Record.t) array ->
@@ -114,11 +103,4 @@ module Vec : sig
     (Ctx.t -> Descriptor.t -> slot:string ->
      (Record_key.t * Record.t) array -> (unit, Error.t) result)
     array
-
-  val sm_scan_batch :
-    (Ctx.t -> Descriptor.t -> lo:Intf.key_bound -> hi:Intf.key_bound ->
-     filter:Dmx_expr.Expr.t option -> Intf.run_scan)
-    array
-  (** Vectorized scans (see {!set_sm_scan_batch}); the default chunks the
-      method's record-at-a-time scan. *)
 end

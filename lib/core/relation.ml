@@ -353,25 +353,24 @@ let register_key_scan ctx (scan : Intf.key_scan) =
         scan.ks_close ());
   }
 
+(* The storage method's runs, not yet registered: [scan_batch] registers
+   them as they are, [scan] registers the record view over them. *)
+let open_runs ctx desc ?lo ?hi ?filter () =
+  let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IS in
+  let (module M : Intf.STORAGE_METHOD) =
+    Registry.storage_method desc.Descriptor.smethod_id
+  in
+  Ok (M.scan ctx desc ?lo ?hi ?filter ())
+
+let scan_batch ctx desc ?lo ?hi ?filter () =
+  rel_span ctx desc "scan_batch" (fun () ->
+      let* runs = open_runs ctx desc ?lo ?hi ?filter () in
+      Ok (register_run_scan ctx runs))
+
 let scan ctx desc ?lo ?hi ?filter () =
   rel_span ctx desc "scan" (fun () ->
-      let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IS in
-      let (module M : Intf.STORAGE_METHOD) =
-        Registry.storage_method desc.Descriptor.smethod_id
-      in
-      Ok (register_record_scan ctx (M.scan ctx desc ?lo ?hi ?filter ())))
-
-(* Vectorized scan through the optional batch vector entry; the default
-   chunks the method's record-at-a-time scan, so every storage method is
-   batch-scannable. *)
-let scan_batch ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter
-    () =
-  rel_span ctx desc "scan_batch" (fun () ->
-      let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IS in
-      Ok
-        (register_run_scan ctx
-           (Registry.Vec.sm_scan_batch.(desc.Descriptor.smethod_id) ctx desc
-              ~lo ~hi ~filter)))
+      let* runs = open_runs ctx desc ?lo ?hi ?filter () in
+      Ok (register_record_scan ctx (Scan_help.records runs)))
 
 let lookup ctx desc ~attachment_id ~instance ~key =
   rel_span ctx desc "lookup" @@ fun () ->

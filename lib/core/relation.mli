@@ -46,20 +46,20 @@ val fetch :
   (Record.t option, Error.t) result
 (** Direct-by-key access through the storage method (access path 0). *)
 
-val scan :
-  Ctx.t -> Descriptor.t -> ?lo:Intf.key_bound -> ?hi:Intf.key_bound ->
-  ?filter:Dmx_expr.Expr.t -> unit -> (Intf.record_scan, Error.t) result
-(** Key-sequential access through the storage method. The returned scan is
-    registered with the transaction: closed at termination, position captured
-    at savepoints, restored after partial rollback. *)
-
 val scan_batch :
   Ctx.t -> Descriptor.t -> ?lo:Intf.key_bound -> ?hi:Intf.key_bound ->
   ?filter:Dmx_expr.Expr.t -> unit -> (Intf.run_scan, Error.t) result
-(** Vectorized key-sequential access, dispatched through the storage method's
-    optional [sm_scan_batch] vector entry (default: chunk the record-at-a-time
-    scan into runs of [Scan_help.run_length]). Same ordering, filtering and
-    transaction registration as {!scan}, delivered a run at a time. *)
+(** Key-sequential access through the storage method, a run at a time. The
+    returned scan is registered with the transaction: closed at
+    termination, position captured at savepoints, restored after partial
+    rollback. *)
+
+val scan :
+  Ctx.t -> Descriptor.t -> ?lo:Intf.key_bound -> ?hi:Intf.key_bound ->
+  ?filter:Dmx_expr.Expr.t -> unit -> (Intf.record_scan, Error.t) result
+(** The same scan as {!scan_batch}, seen a record at a time through
+    {!Scan_help.records}. The view, not the runs under it, is what the
+    transaction registers, so a savepoint restores to the exact record. *)
 
 val lookup :
   Ctx.t -> Descriptor.t -> attachment_id:int -> instance:int ->

@@ -1,20 +1,10 @@
-(* Run length for vectorized scans: DMX_SCAN_BATCH, default 256. *)
+(* Records per run for chunked scans; tests may override. *)
 let default_run_length = 256
 let run_length_override = ref None [@@dmx.global "config-immutable-after-setup"]
 let set_run_length_for_testing n = run_length_override := n
 
 let run_length () =
-  match !run_length_override with
-  | Some n -> n
-  | None -> begin
-    match Sys.getenv_opt "DMX_SCAN_BATCH" with
-    | Some s -> begin
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | _ -> default_run_length
-    end
-    | None -> default_run_length
-  end
+  Option.value !run_length_override ~default:default_run_length
 
 (* The predicate service: compile the filter once per scan open when the
    caller can supply the schema; fall back to the interpreter otherwise. *)
@@ -26,22 +16,6 @@ let compiled_test ?filter ?schema () =
     | Some schema -> Some (Dmx_expr.Eval.compile schema pred)
     | None -> Some (fun record -> Dmx_expr.Eval.test record pred)
   end
-
-let filtered ?filter ?schema ~next ~close ~capture () =
-  let test = compiled_test ?filter ?schema () in
-  let rs_next () =
-    let rec loop () =
-      match next () with
-      | None -> None
-      | Some (_key, record) as hit -> begin
-        match test with
-        | None -> hit
-        | Some test -> if test record then hit else loop ()
-      end
-    in
-    loop ()
-  in
-  { Intf.rs_next; rs_close = close; rs_capture = capture }
 
 let filtered_batch ?filter ?schema ~next_run ~close ~capture () =
   let test = compiled_test ?filter ?schema () in
@@ -72,38 +46,53 @@ let filtered_batch ?filter ?schema ~next_run ~close ~capture () =
   in
   { Intf.rn_next; rn_close = close; rn_capture = capture }
 
-let runs_of_scan ?filter ?schema (s : Intf.record_scan) =
-  let test = compiled_test ?filter ?schema () in
-  let admits record =
-    match test with None -> true | Some test -> test record
-  in
-  let n = run_length () in
-  let rn_next () =
-    let rec first () =
-      match s.rs_next () with
-      | None -> None
-      | Some ((_key, record) as hit) ->
-        if admits record then Some hit else first ()
+(* Chunk a record producer into runs of [run_length ()] raw records; the
+   producer's position after a run is on the last record it returned. *)
+let filtered ?filter ?schema ~next ~close ~capture () =
+  let next_run () =
+    let n = run_length () in
+    let rec take acc count =
+      if count >= n then acc
+      else
+        match next () with
+        | None -> acc
+        | Some hit -> take (hit :: acc) (count + 1)
     in
-    match first () with
-    | None -> None
-    | Some hit ->
-      let buf = ref [hit] in
-      let count = ref 1 in
-      (try
-         while !count < n do
-           match s.rs_next () with
-           | None -> raise Exit
-           | Some ((_key, record) as hit) ->
-             if admits record then begin
-               buf := hit :: !buf;
-               incr count
-             end
-         done
-       with Exit -> ());
-      Some (Array.of_list (List.rev !buf))
+    match take [] 0 with
+    | [] -> None
+    | hits -> Some (Array.of_list (List.rev hits))
   in
-  { Intf.rn_next; rn_close = s.rs_close; rn_capture = s.rs_capture }
+  filtered_batch ?filter ?schema ~next_run ~close ~capture ()
+
+(* The record view. Its capture pairs the run scan's position with the
+   current run and the index in it, so a savepoint taken mid-run restores
+   to the exact record. *)
+let records (s : Intf.run_scan) =
+  let run = ref [||] in
+  let i = ref 0 in
+  let rec rs_next () =
+    if !i < Array.length !run then begin
+      let hit = !run.(!i) in
+      incr i;
+      Some hit
+    end
+    else
+      match s.rn_next () with
+      | None -> None
+      | Some r ->
+        run := r;
+        i := 0;
+        rs_next ()
+  in
+  let rs_capture () =
+    let restore = s.rn_capture () in
+    let saved_run = !run and saved_i = !i in
+    fun () ->
+      restore ();
+      run := saved_run;
+      i := saved_i
+  in
+  { Intf.rs_next; rs_close = s.rn_close; rs_capture }
 
 let key_scan_of ~next ~close ~capture () =
   { Intf.ks_next = next; ks_close = close; ks_capture = capture }

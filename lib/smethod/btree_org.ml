@@ -218,29 +218,14 @@ module Impl = struct
     ignore ctx;
     (bdesc_of desc).count
 
+  (* One run per leaf via [Btree.next_run], with the following leaf's page
+     prefetched into the clock pool before the run is handed out — by the
+     time the consumer drains the run, the next key-sequential step hits in
+     cache. Positions are captured between runs (the cursor is on the last
+     key of the leaf it read), so savepoint restore re-enters exactly after
+     it. *)
   let scan ctx (desc : Descriptor.t) ?(lo = Intf.Unbounded)
       ?(hi = Intf.Unbounded) ?filter () =
-    let bd = bdesc_of desc in
-    let cursor = Btree.cursor ?lo:(bound_of lo) ?hi:(bound_of hi) (tree_of ctx bd) in
-    let next () =
-      match Btree.next cursor with
-      | None -> None
-      | Some (key, payload) -> Some (Record_key.fields key, record_of payload)
-    in
-    Scan_help.filtered ?filter ~schema:desc.Descriptor.schema ~next
-      ~close:(fun () -> ())
-      ~capture:(fun () ->
-        let saved = Btree.position cursor in
-        fun () -> Btree.seek cursor saved)
-      ()
-
-  (* Vectorized scan (registered as the batch vector entry): one run per
-     leaf via [Btree.next_run], with the following leaf's page prefetched
-     into the clock pool before the run is handed out — by the time the
-     consumer drains the run, the next key-sequential step hits in cache.
-     Positions are captured between runs (the cursor is on the run's last
-     key), so savepoint restore re-enters exactly after it. *)
-  let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
     let bd = bdesc_of desc in
     let cursor =
       Btree.cursor ?lo:(bound_of lo) ?hi:(bound_of hi) (tree_of ctx bd)
@@ -351,6 +336,8 @@ end
 
 include Impl
 
+let tree ctx desc = tree_of ctx (bdesc_of desc)
+
 let register () =
   match !reg_id with
   | Some id -> id
@@ -359,5 +346,4 @@ let register () =
       Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
     in
     reg_id := Some id;
-    Registry.set_sm_scan_batch id Impl.scan_batch;
     id

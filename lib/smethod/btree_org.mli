@@ -10,3 +10,7 @@ include Dmx_core.Intf.STORAGE_METHOD
 
 val register : unit -> int
 val id : unit -> int
+
+val tree : Dmx_core.Ctx.t -> Dmx_catalog.Descriptor.t -> Dmx_btree.Btree.t
+(** The relation's record tree, for readers outside the storage method
+    (benchmark reference readers); callers must not modify it. *)

@@ -342,64 +342,20 @@ module Impl = struct
     ignore ctx;
     (hdesc_of desc).count
 
-  let scan ctx (desc : Descriptor.t) ?lo ?hi ?filter () =
-    (* RIDs have no user-meaningful order; key bounds are ignored (the
-       planner never produces them for address-keyed methods). *)
-    ignore lo;
-    ignore hi;
-    let pages = Array.of_list (hdesc_of desc).pages in
-    (* Position: index of the page and slot of the record the scan is "on". *)
-    let pos = ref (-1, -1) in
-    let next_raw () =
-      let rec advance page_idx slot =
-        if page_idx >= Array.length pages then None
-        else
-          let page = pages.(page_idx) in
-          let hit =
-            with_page ctx page (fun data ->
-                let n = Slotted.slot_count data in
-                let rec try_slot s =
-                  if s >= n then None
-                  else
-                    match Slotted.read data s with
-                    | Some payload -> Some (s, payload)
-                    | None -> try_slot (s + 1)
-                in
-                try_slot slot)
-          in
-          match hit with
-          | Some (s, payload) ->
-            pos := (page_idx, s);
-            Some
-              ( Record_key.rid ~page ~slot:s,
-                Codec.decode_record (Bytes.of_string payload) )
-          | None -> advance (page_idx + 1) 0
-      in
-      let page_idx, slot = !pos in
-      if page_idx < 0 then advance 0 0 else advance page_idx (slot + 1)
-    in
-    Scan_help.filtered ?filter ~schema:desc.Descriptor.schema ~next:next_raw
-      ~close:(fun () -> ())
-      ~capture:(fun () ->
-        let saved = !pos in
-        fun () -> pos := saved)
-      ()
-
-  (* Vectorized scan (registered as the batch vector entry): one run per data
-     page, every live slot decoded under a single pin — buffer-pool pins per
-     scan drop from O(records) to O(pages). The position between runs is the
-     index of the last delivered page; RIDs have no order, so run boundaries
-     are the only positions batch consumers observe.
+  (* One run per data page, every live slot decoded under a single pin, so
+     a scan pins once per page. RIDs have no user-meaningful order: key
+     bounds are ignored (the planner never produces them for address-keyed
+     methods). The position between runs is the index of the last
+     delivered page.
 
      Because the whole page is processed under one pin, payloads are decoded
      in place from the page image ([Slotted.payload_span] +
-     [Codec.Dec.of_string_span]) instead of being copied out first — the
-     record-at-a-time path cannot do this, since a payload must outlive the
-     pin that produced it. With a filter, the predicate is compiled once and
-     evaluated on a late-materialized record: only the fields the predicate
-     reads are decoded (the rest are skipped in the encoding), and a full
-     record is built only for qualifying slots. *)
-  let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
+     [Codec.Dec.of_string_span]) instead of being copied out first. With a
+     filter, the predicate is compiled once and evaluated on a
+     late-materialized record: only the fields the predicate reads are
+     decoded (the rest are skipped in the encoding), and a full record is
+     built only for qualifying slots. *)
+  let scan ctx (desc : Descriptor.t) ?lo ?hi ?filter () =
     ignore lo;
     ignore hi;
     let schema = desc.Descriptor.schema in
@@ -598,5 +554,4 @@ let register () =
     in
     reg_id := Some id;
     Registry.set_sm_insert_batch id Impl.insert_batch;
-    Registry.set_sm_scan_batch id Impl.scan_batch;
     id

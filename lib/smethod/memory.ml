@@ -150,34 +150,10 @@ module Impl = struct
     ignore ctx;
     Imap.cardinal (store_of desc.rel_id).records
 
+  (* One map walk per run of [Scan_help.run_length] records. The position
+     between runs is the last sequence number read; the next run starts
+     at the first larger one, so deletes at the position are harmless. *)
   let scan ctx (desc : Descriptor.t) ?lo ?hi ?filter () =
-    ignore ctx;
-    ignore lo;
-    ignore hi;
-    let s = store_of desc.rel_id in
-    (* Position: the sequence number the scan is on; next returns the first
-       record with a larger sequence — robust against deletes at the
-       position. *)
-    let pos = ref 0 in
-    let next () =
-      match Imap.find_first_opt (fun seq -> seq > !pos) s.records with
-      | None -> None
-      | Some (seq, record) ->
-        pos := seq;
-        Some (key_of_seq seq, record)
-    in
-    Scan_help.filtered ?filter ~schema:desc.Descriptor.schema ~next
-      ~close:(fun () -> ())
-      ~capture:(fun () ->
-        let saved = !pos in
-        fun () -> pos := saved)
-      ()
-
-  (* Vectorized scan (registered as the batch vector entry): one map walk
-     per run of [Scan_help.run_length] records instead of one
-     [find_first_opt] re-descent per record. The position between runs is
-     the last delivered sequence number, as in [scan]. *)
-  let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
     ignore ctx;
     ignore lo;
     ignore hi;
@@ -256,5 +232,4 @@ let register () =
       Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
     in
     reg_id := Some id;
-    Registry.set_sm_scan_batch id Impl.scan_batch;
     id

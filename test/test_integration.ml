@@ -576,9 +576,9 @@ let test_memory_storage () =
 
 (* ---- scan position semantics through the architecture ---- *)
 
-let test_scan_positions_after_partial_rollback () =
+let test_scan_positions_after_partial_rollback ?storage_method () =
   let services = fresh_services () in
-  let ctx, desc = setup_emp services in
+  let ctx, desc = setup_emp ?storage_method services in
   ignore (insert_emps ctx desc base_rows);
   let scan = check_ok "scan" (Relation.scan ctx desc ()) in
   let step () = Option.get (scan.Intf.rs_next ()) in
@@ -596,9 +596,9 @@ let test_scan_positions_after_partial_rollback () =
   Alcotest.check value_testable "replay second" (vi 2) r2'.(0);
   Services.commit services ctx
 
-let test_veto_does_not_disturb_scan () =
+let test_veto_does_not_disturb_scan ?storage_method () =
   let services = fresh_services () in
-  let ctx, desc = setup_emp services in
+  let ctx, desc = setup_emp ?storage_method services in
   check_ok "check"
     (Ddl.create_attachment ctx ~relation:"employee" ~attachment_type:"check"
        ~name:"pos" ~attrs:[ ("predicate", "salary > 0") ] ());
@@ -615,6 +615,14 @@ let test_veto_does_not_disturb_scan () =
   let _, r2 = step () in
   Alcotest.check value_testable "continues" (vi 2) r2.(0);
   Services.commit services ctx
+
+(* The two tests above with runs of 2 records, on heap (one run per page)
+   and on memory (chunked runs), where the savepoint is taken inside the
+   first run and the scan then steps into the second. *)
+let with_runs_of_two (test : ?storage_method:string -> unit -> unit) () =
+  with_run_length 2 (fun () ->
+      test ~storage_method:"heap" ();
+      test ~storage_method:"memory" ())
 
 (* "Partial transaction rollback is used, not only to recover from vetoed
    relation modifications, but also to undo the partial effects of (complex)
@@ -672,9 +680,9 @@ let test_registry_frozen_after_open () =
     let delete _ _ _ = Error (Error.Internal "unused")
     let fetch _ _ _ ?fields:_ () = None
     let scan _ _ ?lo:_ ?hi:_ ?filter:_ () =
-      { Intf.rs_next = (fun () -> None);
-        rs_close = ignore;
-        rs_capture = (fun () -> ignore) }
+      { Intf.rn_next = (fun () -> None);
+        rn_close = ignore;
+        rn_capture = (fun () -> ignore) }
     let key_fields _ = None
     let record_count _ _ = 0
     let estimate_scan _ _ ~eligible:_ =
@@ -759,7 +767,11 @@ let suite =
     Alcotest.test_case "foreign gateway" `Quick test_foreign_gateway;
     Alcotest.test_case "memory storage" `Quick test_memory_storage;
     Alcotest.test_case "scan position after partial rollback" `Quick
-      test_scan_positions_after_partial_rollback;
+      (fun () -> test_scan_positions_after_partial_rollback ());
     Alcotest.test_case "veto preserves open scans" `Quick
-      test_veto_does_not_disturb_scan;
+      (fun () -> test_veto_does_not_disturb_scan ());
+    Alcotest.test_case "scan position after partial rollback, runs of 2"
+      `Quick (with_runs_of_two test_scan_positions_after_partial_rollback);
+    Alcotest.test_case "veto preserves open scans, runs of 2" `Quick
+      (with_runs_of_two test_veto_does_not_disturb_scan);
   ]

@@ -189,45 +189,6 @@ let test_statement_store_slots () =
         (Fmt.str "mounted store passes (got: %a)" Lint_driver.pp_report report)
         true (Lint_driver.ok report))
 
-(* R1 around the optional batch-scan slot: installing a producer via
-   [Registry.set_sm_scan_batch] in the factory is not registration — only
-   [<Mod>.register] satisfies vector-completeness — while a method that
-   never installs one (riding the default run-chunking loop, like the
-   fixture's Goodheap) owes R1 nothing beyond its [register] call. *)
-let test_batch_scan_slots () =
-  with_fixture_tree (fun root ->
-      write_file (root / "lib/smethod/goodbatch.ml")
-        "let register () = 2\nlet scan_batch () = ()\n";
-      write_file (root / "lib/smethod/goodbatch.mli")
-        "val register : unit -> int\nval scan_batch : unit -> unit\n";
-      (* not in the factory yet: R1 fires on the [val register] line *)
-      let report = run root in
-      Alcotest.(check bool) "unmounted batch method flagged" false
-        (Lint_driver.ok report);
-      check_diag "unregistered batch method" report ~rule:"vector-completeness"
-        ~file:"lib/smethod/goodbatch.mli" ~line:1;
-      (* a factory that only installs the batch slot still misses R1 *)
-      write_file (root / "lib/db/db.ml")
-        "let register_defaults () =\n\
-        \  ignore (Dmx_smethod.Goodheap.register ());\n\
-        \  ignore (Dmx_attach.Goodindex.register ());\n\
-        \  Dmx_core.Registry.set_sm_scan_batch 2 Dmx_smethod.Goodbatch.scan_batch\n";
-      let report = run root in
-      check_diag "slot install is not registration" report
-        ~rule:"vector-completeness" ~file:"lib/smethod/goodbatch.mli" ~line:1;
-      (* registration plus the optional slot passes; the default-loop method
-         (Goodheap, no native producer) stays clean throughout *)
-      write_file (root / "lib/db/db.ml")
-        "let register_defaults () =\n\
-        \  ignore (Dmx_smethod.Goodheap.register ());\n\
-        \  ignore (Dmx_attach.Goodindex.register ());\n\
-        \  ignore (Dmx_smethod.Goodbatch.register ());\n\
-        \  Dmx_core.Registry.set_sm_scan_batch 2 Dmx_smethod.Goodbatch.scan_batch\n";
-      let report = run root in
-      Alcotest.(check bool)
-        (Fmt.str "batch method passes (got: %a)" Lint_driver.pp_report report)
-        true (Lint_driver.ok report))
-
 (* R2: a fresh failwith in an attachment. *)
 let test_fresh_failwith_in_attach () =
   with_fixture_tree (fun root ->
@@ -552,8 +513,6 @@ let suite =
     Alcotest.test_case "R1: sysview stub slots" `Quick test_sysview_stub_slots;
     Alcotest.test_case "R1: statement store slots" `Quick
       test_statement_store_slots;
-    Alcotest.test_case "R1: batch-scan slot install is not registration" `Quick
-      test_batch_scan_slots;
     Alcotest.test_case "R2: fresh failwith in attach" `Quick
       test_fresh_failwith_in_attach;
     Alcotest.test_case "R2: full banned set" `Quick test_banned_constructs;

@@ -1,37 +1,35 @@
-(* The vectorized read path: batch scans must be observably identical to
-   record-at-a-time scans — same records, same order, same filter semantics
-   — for every storage method, whether the method registers a native
-   [sm_scan_batch] producer (heap, btree, memory) or rides the default
-   run-chunking loop (temp). Plus the shapes the optimization promises:
-   torn runs at relation end, run-granular positions under mid-scan
-   modification, and exactly one pin per heap page. *)
+(* The read path: storage methods deliver runs, and [Relation.scan] is a
+   record view over them. Both must return exactly the rows a model of the
+   relation predicts — same records, same order, same filter semantics —
+   for every storage method, native run producers (heap, btree, memory)
+   and chunked record producers (temp) alike. Plus the shapes the protocol
+   promises: torn runs at relation end, the run-granular position rule
+   under mid-scan modification, and exactly one pin per heap page. *)
 open Dmx_value
 open Dmx_core
 open Test_util
 module Ddl = Dmx_ddl.Ddl
 module Relation = Dmx_core.Relation
 
-let with_run_length n f =
-  Scan_help.set_run_length_for_testing (Some n);
-  Fun.protect ~finally:(fun () -> Scan_help.set_run_length_for_testing None) f
+let row_of i =
+  [|
+    vi i;
+    vs (Fmt.str "name%d" i);
+    vs (if i mod 2 = 0 then "even" else "odd");
+    vi (i * 10);
+  |]
 
-let make_rel ctx ~storage_method ?(attrs = []) ?(n = 25) () =
+let make_rel ctx ~storage_method ?(attrs = []) ?(n = 25) ?ids () =
+  let ids = Option.value ids ~default:(List.init n (fun i -> i + 1)) in
   let desc =
     check_ok "create"
       (Ddl.create_relation ctx ~name:("t_" ^ storage_method) ~schema:emp_schema
          ~storage_method ~attrs ())
   in
-  for i = 1 to n do
-    ignore
-      (check_ok "ins"
-         (Relation.insert ctx desc
-            [|
-              vi i;
-              vs (Fmt.str "name%d" i);
-              vs (if i mod 2 = 0 then "even" else "odd");
-              vi (i * 10);
-            |]))
-  done;
+  List.iter
+    (fun i ->
+      ignore (check_ok "ins" (Relation.insert ctx desc (row_of i))))
+    ids;
   desc
 
 let records_of_record_scan ctx desc ?filter () =
@@ -42,41 +40,51 @@ let records_of_batch_scan ctx desc ?filter () =
   check_ok "scan_batch" (Relation.scan_batch ctx desc ?filter ())
   |> Scan_help.run_scan_to_list |> List.map snd
 
-let check_parity ~what a b =
-  Alcotest.(check (list record_testable)) what a b
-
-(* scan and filtered scan: batch ≡ record, for native producers and the
-   default chunking loop alike *)
+(* Both read paths against the model: the inserted rows, filtered by the
+   interpreter, in the method's order — insertion order for heap, memory
+   and temp, key order for btree. Ids go in scrambled so the two orders
+   differ. *)
 let test_batch_record_parity () =
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
+  let ids = List.init 25 (fun k -> (k * 7 mod 25) + 1) in
+  let filter =
+    Dmx_expr.Parse.parse_exn emp_schema "salary > 100 AND dept = 'even'"
+  in
   List.iter
-    (fun (sm, attrs) ->
-      let desc = make_rel ctx ~storage_method:sm ~attrs () in
-      let filter =
-        match Dmx_expr.Parse.parse emp_schema "salary > 100 AND dept = 'even'" with
-        | Ok e -> e
-        | Error m -> Alcotest.failf "parse: %s" m
+    (fun (sm, attrs, key_order) ->
+      let desc = make_rel ctx ~storage_method:sm ~attrs ~ids () in
+      let model ?filter () =
+        let rows = List.map row_of ids in
+        let rows =
+          if key_order then
+            List.sort (fun a b -> Value.compare a.(0) b.(0)) rows
+          else rows
+        in
+        match filter with
+        | None -> rows
+        | Some e -> List.filter (fun r -> Dmx_expr.Eval.test r e) rows
       in
-      check_parity
-        ~what:(sm ^ " unfiltered")
-        (records_of_record_scan ctx desc ())
-        (records_of_batch_scan ctx desc ());
-      check_parity
-        ~what:(sm ^ " filtered")
-        (records_of_record_scan ctx desc ~filter ())
-        (records_of_batch_scan ctx desc ~filter ());
-      (* small runs exercise run boundaries without changing results *)
-      with_run_length 3 (fun () ->
-          check_parity
-            ~what:(sm ^ " filtered, short runs")
-            (records_of_record_scan ctx desc ~filter ())
-            (records_of_batch_scan ctx desc ~filter ())))
+      let check what ?filter () =
+        let expected = model ?filter () in
+        Alcotest.(check (list record_testable))
+          (Fmt.str "%s %s, runs" sm what)
+          expected
+          (records_of_batch_scan ctx desc ?filter ());
+        Alcotest.(check (list record_testable))
+          (Fmt.str "%s %s, record view" sm what)
+          expected
+          (records_of_record_scan ctx desc ?filter ())
+      in
+      check "unfiltered" ();
+      check "filtered" ~filter ();
+      (* short runs exercise run boundaries without changing results *)
+      with_run_length 3 (fun () -> check "filtered, short runs" ~filter ()))
     [
-      ("heap", []);
-      ("btree", [ ("key", "id") ]);
-      ("memory", []);
-      ("temp", []);  (* no native producer: default run-chunking slot *)
+      ("heap", [], false);
+      ("btree", [ ("key", "id") ], true);
+      ("memory", [], false);
+      ("temp", [], false);  (* record producer chunked into runs *)
     ];
   Services.commit services ctx
 
@@ -163,6 +171,60 @@ let test_midscan_modification () =
         rest);
   Services.commit services ctx
 
+(* The run-granular position rule (Intf.run_scan) seen through the record
+   view, on heap (one run per page) and memory (chunked runs): after one
+   step, a record deleted inside the current run is still returned, since
+   the run was read before the delete, while a record deleted in a later
+   run is not. *)
+let test_deletes_under_the_view () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  let check_rule sm desc ~pick =
+    let scan = check_ok "scan" (Relation.scan ctx desc ()) in
+    let first, _ = Option.get (scan.Intf.rs_next ()) in
+    let inside, ahead = pick first in
+    List.iter
+      (fun k -> ignore (check_ok "del" (Relation.delete ctx desc k)))
+      [ inside; ahead ];
+    let rest = Scan_help.record_scan_to_list scan |> List.map fst in
+    let returned k = List.exists (Record_key.equal k) rest in
+    Alcotest.(check bool)
+      (sm ^ ": deleted inside the current run, still returned")
+      true (returned inside);
+    Alcotest.(check bool)
+      (sm ^ ": deleted in a later run, not returned")
+      false (returned ahead)
+  in
+  let heap =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name:"paged" ~schema:emp_schema
+         ~storage_method:"heap" ())
+  in
+  let heap_keys =
+    List.init 200 (fun i ->
+        check_ok "ins"
+          (Relation.insert ctx heap
+             [| vi i; vs (String.make 100 'x'); vs "d"; vi i |]))
+  in
+  let page_of = function
+    | Record_key.Rid { page; _ } -> page
+    | k -> Alcotest.failf "not a RID: %a" Record_key.pp k
+  in
+  check_rule "heap" heap ~pick:(fun first ->
+      let on_page k = page_of k = page_of first in
+      ( List.find (fun k -> on_page k && not (Record_key.equal k first)) heap_keys,
+        List.find (fun k -> not (on_page k)) heap_keys ));
+  with_run_length 3 (fun () ->
+      let mem = make_rel ctx ~storage_method:"memory" ~n:10 () in
+      let keys =
+        check_ok "keys" (Relation.scan_batch ctx mem ())
+        |> Scan_help.run_scan_to_list |> List.map fst
+      in
+      (* runs of [1; 2; 3], [4; 5; 6], ...: the view is on record 1 *)
+      check_rule "memory" mem ~pick:(fun _ ->
+          (List.nth keys 1, List.nth keys 4)));
+  Services.commit services ctx
+
 (* a full heap batch scan pins each page exactly once — the deterministic
    counter E11 gates on *)
 let test_heap_pins_per_page () =
@@ -197,7 +259,7 @@ let test_heap_pins_per_page () =
     (d.Dmx_page.Io_stats.pool_hits + d.Dmx_page.Io_stats.pool_misses);
   Services.commit services ctx
 
-(* DMX_SCAN_BATCH plumbing: the override wins, and the default is 256 *)
+(* the run length: the test override wins, and the default is 256 *)
 let test_run_length_override () =
   Alcotest.(check int) "default" 256 (Scan_help.run_length ());
   with_run_length 7 (fun () ->
@@ -256,6 +318,8 @@ let suite =
       test_batch_record_parity;
     Alcotest.test_case "torn final run" `Quick test_torn_final_run;
     Alcotest.test_case "mid-scan modification" `Quick test_midscan_modification;
+    Alcotest.test_case "deletes under the record view" `Quick
+      test_deletes_under_the_view;
     Alcotest.test_case "heap pins = page count" `Quick test_heap_pins_per_page;
     Alcotest.test_case "run-length override" `Quick test_run_length_override;
     Alcotest.test_case "join parity" `Quick test_join_parity;

@@ -42,9 +42,9 @@ let dummy_sm name : (module Intf.STORAGE_METHOD) =
 
     let scan _ _ ?lo:_ ?hi:_ ?filter:_ () =
       {
-        Intf.rs_next = (fun () -> None);
-        rs_close = ignore;
-        rs_capture = (fun () -> ignore);
+        Intf.rn_next = (fun () -> None);
+        rn_close = ignore;
+        rn_capture = (fun () -> ignore);
       }
 
     let key_fields _ = None
@@ -117,19 +117,6 @@ let test_unregistered_dispatch () =
       ignore
         (Registry.Vec.at_on_delete.(Descriptor.max_attachment_types - 1) ctx
            desc ~slot:"" (Record_key.rid ~page:0 ~slot:0) [| Value.int 1 |]));
-  (* the optional batch-scan slot: its default chunks the record scan, so an
-     unregistered id fails on the underlying sm_scan_batch lookup *)
-  Alcotest.check_raises "unregistered sm_scan_batch dispatch"
-    (Failure
-       (Fmt.str
-          "Registry: dispatch through unregistered slot %d of vector \
-           sm_scan_batch — the extension was linked but never registered in \
-           the default factory (Db.register_defaults)"
-          bad_id))
-    (fun () ->
-      ignore
-        (Registry.Vec.sm_scan_batch.(bad_id) ctx desc ~lo:Intf.Unbounded
-           ~hi:Intf.Unbounded ~filter:None));
   Services.abort sv ctx;
   Services.close sv
 

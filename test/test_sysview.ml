@@ -124,11 +124,11 @@ let test_read_only () =
             in
             let scan = M.scan ctx desc () in
             let key, _ =
-              match scan.rs_next () with
-              | Some kv -> kv
+              match scan.rn_next () with
+              | Some run -> run.(0)
               | None -> Alcotest.fail "dmx_wal scan empty"
             in
-            scan.rs_close ();
+            scan.rn_close ();
             expect_read_only "update"
               (Db.update db ctx ~relation:"dmx_wal" key wal_row);
             expect_read_only "delete" (Db.delete db ctx ~relation:"dmx_wal" key);

@@ -92,3 +92,10 @@ let all_records ctx desc =
   |> List.sort (fun a b -> Value.compare a.(0) b.(0))
 
 let count_records ctx desc = List.length (all_records ctx desc)
+
+(* Run [f] with chunked scans delivering runs of [n] records. *)
+let with_run_length n f =
+  Dmx_core.Scan_help.set_run_length_for_testing (Some n);
+  Fun.protect
+    ~finally:(fun () -> Dmx_core.Scan_help.set_run_length_for_testing None)
+    f
