@@ -6,8 +6,10 @@
    When TRACE_FILE is omitted, $DMX_TRACE_FILE is consulted, so the same
    environment variable that produced the trace can be reused to read it
    back. Reports: critical path of the slowest transaction, top-N slowest
-   spans, per-relation and per-attachment latency quantiles, per-statement
-   fingerprint statistics, lock-contention pairs, and deadlock victims.
+   spans, per-relation and per-attachment latency quantiles, lock-contention
+   pairs, deadlock victims, and per-statement fingerprint statistics: the
+   trace's stmt.exec spans replayed through the query store, printed by the
+   same table as the shell's show statements.
    --json emits the same report as one JSON object on stdout (CI diffs
    profiles across runs); text stays the default. --statements restricts
    the output to the statement section alone — with --json that is a bare
@@ -60,38 +62,27 @@ let () =
     Fmt.epr "dmx_prof: %s: no trace records@." path;
     exit 1
   end;
-  if !statements_only then begin
-    let open Dmx_obs in
-    let open Trace_reader in
-    let ss = statements records in
-    if !json then
-      Fmt.pr "%s@."
-        (Obs_json.to_string
-           (Obs_json.List
-              (List.map
-                 (fun s ->
-                   Obs_json.Obj
-                     [ ("fingerprint", Obs_json.Str s.s_fp);
-                       ("statement", Obs_json.Str s.s_text);
-                       ("calls", Obs_json.Int s.s_calls);
-                       ("errors", Obs_json.Int s.s_errors);
-                       ("rows", Obs_json.Int s.s_rows);
-                       ("p50_us", Obs_json.Float s.s_p50);
-                       ("p95_us", Obs_json.Float s.s_p95);
-                       ( "plans",
-                         Obs_json.List
-                           (List.map (fun p -> Obs_json.Str p) s.s_plans) ) ])
-                 ss)))
-    else
-      List.iter
-        (fun s ->
-          Fmt.pr
-            "%s  calls=%d errs=%d rows=%d p50=%.1fus p95=%.1fus plans=%d  %s@."
-            s.s_fp s.s_calls s.s_errors s.s_rows s.s_p50 s.s_p95
-            (List.length s.s_plans) s.s_text)
-        ss
-  end
-  else if !json then
-    Fmt.pr "%s@."
-      (Dmx_obs.Obs_json.to_string (Dmx_obs.Trace_reader.to_json ~top:!top records))
-  else Fmt.pr "%a@." (Dmx_obs.Trace_reader.pp_report ~top:!top) records
+  (* Statements replay through the live store's own aggregation; the
+     capacity lift keeps every fingerprint the trace holds. *)
+  let open Dmx_obs in
+  Query_store.reset ();
+  Query_store.set_capacity max_int;
+  Query_store.set_enabled true;
+  Trace_reader.replay_statements records;
+  let statements_json () = Query_store.statements_json `Calls in
+  match (!statements_only, !json) with
+  | true, true -> Fmt.pr "%s@." (Obs_json.to_string (statements_json ()))
+  | true, false -> Fmt.pr "%a@." (Query_store.pp_statements `Calls) ()
+  | false, true ->
+    let report =
+      match Trace_reader.to_json ~top:!top records with
+      | Obs_json.Obj kvs ->
+        Obs_json.Obj (kvs @ [ ("statements", statements_json ()) ])
+      | j -> j
+    in
+    Fmt.pr "%s@." (Obs_json.to_string report)
+  | false, false ->
+    Fmt.pr "%a@." (Trace_reader.pp_report ~top:!top) records;
+    if Query_store.size () > 0 then
+      Fmt.pr "statements (replayed through the query store):@.%a@."
+        (Query_store.pp_statements `Calls) ()

@@ -275,46 +275,6 @@ let print_rows schema_names rows =
   Fmt.pr "(%d row%s)@." (List.length rows)
     (if List.length rows = 1 then "" else "s")
 
-(* ---- query store display ---- *)
-
-let show_statements ?top ~by () =
-  let weight (e : Dmx_obs.Query_store.entry) =
-    match by with
-    | `Calls -> float_of_int e.e_calls
-    | `Time -> Dmx_obs.Metrics.histogram_sum e.e_latency
-    | `Io -> float_of_int (e.e_pool_hits + e.e_pool_misses + e.e_page_reads)
-  in
-  let entries =
-    List.sort
-      (fun a b -> compare (weight b) (weight a))
-      (Dmx_obs.Query_store.entries ())
-  in
-  let entries =
-    match top with
-    | None -> entries
-    | Some n -> List.filteri (fun i _ -> i < n) entries
-  in
-  Fmt.pr "%-16s %6s %4s %6s %10s %8s %6s %5s  %s@." "fingerprint" "calls"
-    "errs" "rows" "total_us" "p95_us" "io" "plans" "statement";
-  List.iter
-    (fun (e : Dmx_obs.Query_store.entry) ->
-      let p95 =
-        match Dmx_obs.Metrics.quantile e.e_latency 0.95 with
-        | Some v -> v
-        | None -> 0.
-      in
-      Fmt.pr "%016Lx %6d %4d %6d %10.1f %8.1f %6d %5d  %s@." e.e_fp e.e_calls
-        e.e_errors e.e_rows
-        (Dmx_obs.Metrics.histogram_sum e.e_latency)
-        p95
-        (e.e_pool_hits + e.e_pool_misses + e.e_page_reads)
-        (List.length e.e_plans) e.e_text)
-    entries;
-  Fmt.pr "(%d of %d fingerprint%s; %d evicted)@." (List.length entries)
-    (Dmx_obs.Query_store.size ())
-    (if Dmx_obs.Query_store.size () = 1 then "" else "s")
-    (Dmx_obs.Query_store.evicted ())
-
 (* ---- statement execution ---- *)
 
 let exec_line st line =
@@ -614,7 +574,7 @@ let exec_line st line =
       Fmt.pr "STATEMENTS RESET@."
     | "show", Word t :: rest when kw t = "statements" -> begin
       match rest with
-      | [] -> show_statements ~by:`Calls ()
+      | [] -> Fmt.pr "%a" (Dmx_obs.Query_store.pp_statements `Calls) ()
       | [ Word top; Word n; Word by; Word key ]
         when kw top = "top" && kw by = "by" ->
         let n =
@@ -629,7 +589,7 @@ let exec_line st line =
           | "io" -> `Io
           | k -> err "unknown sort key %S (calls|time|io)" k
         in
-        show_statements ~top:n ~by ()
+        Fmt.pr "%a" (Dmx_obs.Query_store.pp_statements ~top:n by) ()
       | _ -> err "expected: show statements [top N by calls|time|io]"
     end
     | "events", [ Word t ] when kw t = "on" ->

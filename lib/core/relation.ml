@@ -314,44 +314,13 @@ let fetch ctx desc key ?fields () =
 
 (* Register a scan with the transaction so termination closes it and
    savepoints capture/restore its position. *)
-let register_record_scan ctx (scan : Intf.record_scan) =
+let register_scan ctx ~close ~capture =
   let id =
-    Ctx.register_scan ctx
-      { Txn.scan_close = scan.rs_close; scan_capture = scan.rs_capture }
+    Ctx.register_scan ctx { Txn.scan_close = close; scan_capture = capture }
   in
-  {
-    scan with
-    rs_close =
-      (fun () ->
-        Ctx.unregister_scan ctx id;
-        scan.rs_close ());
-  }
-
-let register_run_scan ctx (scan : Intf.run_scan) =
-  let id =
-    Ctx.register_scan ctx
-      { Txn.scan_close = scan.rn_close; scan_capture = scan.rn_capture }
-  in
-  {
-    scan with
-    rn_close =
-      (fun () ->
-        Ctx.unregister_scan ctx id;
-        scan.rn_close ());
-  }
-
-let register_key_scan ctx (scan : Intf.key_scan) =
-  let id =
-    Ctx.register_scan ctx
-      { Txn.scan_close = scan.ks_close; scan_capture = scan.ks_capture }
-  in
-  {
-    scan with
-    ks_close =
-      (fun () ->
-        Ctx.unregister_scan ctx id;
-        scan.ks_close ());
-  }
+  fun () ->
+    Ctx.unregister_scan ctx id;
+    close ()
 
 (* The storage method's runs, not yet registered: [scan_batch] registers
    them as they are, [scan] registers the record view over them. *)
@@ -365,12 +334,17 @@ let open_runs ctx desc ?lo ?hi ?filter () =
 let scan_batch ctx desc ?lo ?hi ?filter () =
   rel_span ctx desc "scan_batch" (fun () ->
       let* runs = open_runs ctx desc ?lo ?hi ?filter () in
-      Ok (register_run_scan ctx runs))
+      let close =
+        register_scan ctx ~close:runs.rn_close ~capture:runs.rn_capture
+      in
+      Ok { runs with rn_close = close })
 
 let scan ctx desc ?lo ?hi ?filter () =
   rel_span ctx desc "scan" (fun () ->
       let* runs = open_runs ctx desc ?lo ?hi ?filter () in
-      Ok (register_record_scan ctx (Scan_help.records runs)))
+      let rs = Scan_help.records runs in
+      let close = register_scan ctx ~close:rs.rs_close ~capture:rs.rs_capture in
+      Ok { rs with rs_close = close })
 
 let lookup ctx desc ~attachment_id ~instance ~key =
   rel_span ctx desc "lookup" @@ fun () ->
@@ -402,7 +376,9 @@ let attachment_scan ctx desc ~attachment_id ~instance ?lo ?hi () =
           (Error.No_such_attachment
              (Fmt.str "attachment type %d offers no key-sequential access"
                 attachment_id))
-      | Some s -> Ok (register_key_scan ctx s)
+      | Some s ->
+        let close = register_scan ctx ~close:s.ks_close ~capture:s.ks_capture in
+        Ok { s with ks_close = close }
     end
 
 let record_count ctx desc =

@@ -9,7 +9,7 @@
 
    Disabled (the default) the observation path is one branch and allocates
    nothing — same discipline as [Metrics]/[Trace]; the caller is expected to
-   gate the construction of the [exec] record on [enabled ()].
+   gate the construction of the [exec] record on [Trace.enabled ()].
 
    Eviction is LRU by a monotonic touch tick; at capacity the victim is
    found by an O(capacity) min-scan. Capacity is a few hundred entries, the
@@ -76,7 +76,8 @@ type exec = {
   x_fp : int64;
   x_text : string;
   x_sample : string;
-  x_us : float;
+  x_ts : float;  (* the [stmt.exec] span's start, Unix time *)
+  x_us : float;  (* [us_of_ns] of the measured nanoseconds *)
   x_rows : int;
   x_error : bool;
   x_pool_hits : int;
@@ -126,8 +127,12 @@ let evict_lru () =
     incr evicted_total
   | None -> ()
 
+(* Evict down below capacity, not just by one: after [set_capacity] lowers
+   the bound the store shrinks back under it at the next insertion. *)
 let fresh_entry x now =
-  if Hashtbl.length table >= !capacity then evict_lru ();
+  while Hashtbl.length table >= !capacity do
+    evict_lru ()
+  done;
   let e =
     {
       e_fp = x.x_fp;
@@ -178,7 +183,7 @@ let note_plan e hash now =
 let record x =
   if not (enabled ()) then Plan_off
   else begin
-    let now = Unix.gettimeofday () in
+    let now = x.x_ts in
     let e =
       match Hashtbl.find_opt table x.x_fp with
       | Some e -> e
@@ -208,6 +213,138 @@ let record x =
 let entries () =
   Hashtbl.fold (fun _ e acc -> e :: acc) table []
   |> List.sort (fun a b -> compare a.e_fp b.e_fp)
+
+(* ---- the [stmt.exec] span: one observation record, online and offline ----
+
+   [Stmt_obs] closes each statement's span with [exec_attrs x]; [dmx_prof]
+   turns the span back into [x] with [exec_of_span] and folds it through
+   [record], so a replayed trace and the live store aggregate the same
+   values the same way. Latency travels as integer nanoseconds: a float
+   would be rounded by the JSON rendering and could change bucket. The
+   literal sample text stays out of the trace; a replay samples the
+   normalized text. *)
+
+let us_of_ns ns = float_of_int ns /. 1e3
+let hex h = Printf.sprintf "%016Lx" h
+
+let exec_attrs x =
+  let int k v = (k, Obs_json.Int v) in
+  [ ("fp", Obs_json.Str (hex x.x_fp));
+    ("text", Obs_json.Str x.x_text);
+    int "lat_ns" (Float.to_int (Float.round (x.x_us *. 1e3)));
+    ("plan", Obs_json.Str (match x.x_plan with Some h -> hex h | None -> ""));
+    int "rows" x.x_rows;
+    int "pool_hits" x.x_pool_hits;
+    int "pool_misses" x.x_pool_misses;
+    int "page_reads" x.x_page_reads;
+    int "wal_bytes" x.x_wal_bytes;
+    int "lock_conflicts" x.x_lock_conflicts;
+    int "lock_waits" x.x_lock_waits;
+    int "vetoes" x.x_vetoes ]
+
+let exec_of_span ~ts ~outcome attrs =
+  let str k = Option.bind (List.assoc_opt k attrs) Obs_json.to_string_opt in
+  let int k =
+    Option.value ~default:0
+      (Option.bind (List.assoc_opt k attrs) Obs_json.to_int_opt)
+  in
+  let hex_opt = function
+    | Some s when s <> "" -> Int64.of_string_opt ("0x" ^ s)
+    | _ -> None
+  in
+  match (hex_opt (str "fp"), List.assoc_opt "lat_ns" attrs) with
+  | Some fp, Some (Obs_json.Int ns) ->
+    let text = Option.value ~default:"" (str "text") in
+    Some
+      {
+        x_fp = fp;
+        x_text = text;
+        x_sample = text;
+        x_ts = ts;
+        x_us = us_of_ns ns;
+        x_rows = int "rows";
+        x_error = outcome <> Some "ok";
+        x_pool_hits = int "pool_hits";
+        x_pool_misses = int "pool_misses";
+        x_page_reads = int "page_reads";
+        x_wal_bytes = int "wal_bytes";
+        x_lock_conflicts = int "lock_conflicts";
+        x_lock_waits = int "lock_waits";
+        x_vetoes = int "vetoes";
+        x_plan = hex_opt (str "plan");
+      }
+  | _ -> None
+
+(* ---- the statement table: [show statements] and [dmx_prof] ---- *)
+
+type order = [ `Calls | `Time | `Io ]
+
+let io e = e.e_pool_hits + e.e_pool_misses + e.e_page_reads
+let total_us e = Metrics.histogram_sum e.e_latency
+let quantile e q = Option.value ~default:0. (Metrics.quantile e.e_latency q)
+
+let ranked ?top by =
+  let weight e =
+    match by with
+    | `Calls -> float_of_int e.e_calls
+    | `Time -> total_us e
+    | `Io -> float_of_int (io e)
+  in
+  let sorted =
+    List.sort
+      (fun a b ->
+        match compare (weight b) (weight a) with
+        | 0 -> Int64.unsigned_compare a.e_fp b.e_fp
+        | c -> c)
+      (entries ())
+  in
+  match top with
+  | None -> sorted
+  | Some n -> List.filteri (fun i _ -> i < n) sorted
+
+(* One column list for both renderings: the JSON value is the cell, and
+   the text table prints it (a plan list as its length). *)
+let columns =
+  let int f e = Obs_json.Int (f e) and flt f e = Obs_json.Float (f e) in
+  [ ("fingerprint", Report_txt.L, fun e -> Obs_json.Str (hex e.e_fp));
+    ("calls", Report_txt.R, int (fun e -> e.e_calls));
+    ("errors", Report_txt.R, int (fun e -> e.e_errors));
+    ("rows", Report_txt.R, int (fun e -> e.e_rows));
+    ("total_us", Report_txt.R, flt total_us);
+    ("p50_us", Report_txt.R, flt (fun e -> quantile e 0.5));
+    ("p95_us", Report_txt.R, flt (fun e -> quantile e 0.95));
+    ("io", Report_txt.R, int io);
+    ("wal_bytes", Report_txt.R, int (fun e -> e.e_wal_bytes));
+    ("lock_waits", Report_txt.R, int (fun e -> e.e_lock_waits));
+    ("vetoes", Report_txt.R, int (fun e -> e.e_vetoes));
+    ( "plans", Report_txt.R,
+      fun e ->
+        Obs_json.List
+          (List.map (fun u -> Obs_json.Str (hex u.pu_hash)) e.e_plans) );
+    ("statement", Report_txt.L, fun e -> Obs_json.Str e.e_text) ]
+
+let cell = function
+  | Obs_json.Int i -> string_of_int i
+  | Obs_json.Float f -> Printf.sprintf "%.1f" f
+  | Obs_json.Str s -> s
+  | Obs_json.List l -> string_of_int (List.length l)
+  | v -> Obs_json.to_string v
+
+let pp_statements ?top by ppf () =
+  let es = ranked ?top by in
+  Report_txt.pp_table
+    ~columns:(List.map (fun (k, a, _) -> (k, a)) columns)
+    ppf
+    (List.map (fun e -> List.map (fun (_, _, v) -> cell (v e)) columns) es);
+  Fmt.pf ppf "(%d of %d fingerprint%s; %d evicted)@." (List.length es) (size ())
+    (if size () = 1 then "" else "s")
+    !evicted_total
+
+let statements_json ?top by =
+  Obs_json.List
+    (List.map
+       (fun e -> Obs_json.Obj (List.map (fun (k, _, v) -> (k, v e)) columns))
+       (ranked ?top by))
 
 (* Probe payload for dmx_metrics / bench counter deltas: aggregate store
    health, never per-entry values (those live in dmx_statements). *)

@@ -56,21 +56,29 @@ let parse_line line =
           r_attrs = attrs;
         })
 
+(* An unreadable path (missing, a directory, an I/O error mid-file) ends
+   the load with one error instead of an exception; the channel is closed
+   on every exit. *)
 let load_file path =
-  let ic = open_in path in
   let records = ref [] and errors = ref [] in
-  let lineno = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       if String.trim line <> "" then
-         match parse_line line with
-         | Ok r -> records := r :: !records
-         | Error e ->
-           errors := Printf.sprintf "line %d: %s" !lineno e :: !errors
-     done
-   with End_of_file -> close_in ic);
+  (match open_in path with
+  | exception Sys_error e -> errors := [ e ]
+  | ic ->
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+    let rec loop lineno =
+      match input_line ic with
+      | exception End_of_file -> ()
+      | exception Sys_error e ->
+        errors := Printf.sprintf "%s: %s" path e :: !errors
+      | line ->
+        (if String.trim line <> "" then
+           match parse_line line with
+           | Ok r -> records := r :: !records
+           | Error e ->
+             errors := Printf.sprintf "line %d: %s" lineno e :: !errors);
+        loop (lineno + 1)
+    in
+    loop 1);
   (List.rev !records, List.rev !errors)
 
 (* ---- span forest ---- *)
@@ -198,77 +206,18 @@ let per_relation records =
 let per_attachment records =
   group_stats_of ~key_of:(attr_str "attachment") ~prefix:"attach." records
 
-(* ---- statements (offline view of the query store) ---- *)
+(* ---- statements: replayed through the query store ---- *)
 
-let attr_int key r =
-  Option.bind (List.assoc_opt key r.r_attrs) Obs_json.to_int_opt
-
-type stmt_stats = {
-  s_fp : string;
-  s_text : string;
-  s_calls : int;
-  s_errors : int;
-  s_rows : int;
-  s_p50 : float;
-  s_p95 : float;
-  s_plans : string list;  (* distinct plan hashes, in order of appearance *)
-}
-
-(* Reconstruct per-fingerprint statistics from [stmt.exec] spans, keeping
-   offline analysis at parity with the live [dmx_statements] view. *)
-let statements records =
-  let groups :
-      (string, string ref * float list ref * int ref * int ref * string list ref)
-      Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let order = ref [] in
+let replay_statements records =
   List.iter
     (fun r ->
-      if r.r_name = "stmt.exec" then
-        match attr_str "fp" r with
-        | None -> ()
-        | Some fp ->
-          let text, samples, errors, rows, plans =
-            match Hashtbl.find_opt groups fp with
-            | Some g -> g
-            | None ->
-              let g = (ref "", ref [], ref 0, ref 0, ref []) in
-              Hashtbl.replace groups fp g;
-              order := fp :: !order;
-              g
-          in
-          (match attr_str "text" r with
-          | Some t when t <> "" -> text := t
-          | _ -> ());
-          samples := r.r_us :: !samples;
-          if r.r_outcome <> Some "ok" then incr errors;
-          (match attr_int "rows" r with
-          | Some n -> rows := !rows + n
-          | None -> ());
-          (match attr_str "plan" r with
-          | Some p when p <> "" && not (List.mem p !plans) ->
-            plans := !plans @ [ p ]
-          | _ -> ()))
-    (spans records);
-  List.rev !order
-  |> List.map (fun fp ->
-         let text, samples, errors, rows, plans = Hashtbl.find groups fp in
-         let q p = match quantile !samples p with Some v -> v | None -> 0. in
-         {
-           s_fp = fp;
-           s_text = !text;
-           s_calls = List.length !samples;
-           s_errors = !errors;
-           s_rows = !rows;
-           s_p50 = q 0.50;
-           s_p95 = q 0.95;
-           s_plans = !plans;
-         })
-  |> List.sort (fun a b ->
-         match compare b.s_calls a.s_calls with
-         | 0 -> compare a.s_fp b.s_fp
-         | c -> c)
+      if r.r_kind = Span && r.r_name = "stmt.exec" then
+        match
+          Query_store.exec_of_span ~ts:r.r_ts ~outcome:r.r_outcome r.r_attrs
+        with
+        | Some x -> ignore (Query_store.record x)
+        | None -> ())
+    records
 
 (* ---- lock contention ---- *)
 
@@ -343,15 +292,37 @@ let truncated records = List.exists (fun r -> r.r_kind = Truncated) records
 
 (* ---- report ---- *)
 
+let txn_count records =
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun r -> if r.r_txn <> 0 then Hashtbl.replace seen r.r_txn ())
+    records;
+  Hashtbl.length seen
+
+(* The per-relation and per-attachment tables; only attachments can veto. *)
+let pp_groups ppf ~title ~vetoes = function
+  | [] -> ()
+  | gs ->
+    Fmt.pf ppf "@.per-%s span latency (us):@." title;
+    let if_vetoes l = if vetoes then l else [] in
+    let q v = Printf.sprintf "%.1f" v in
+    let r name = (name, Report_txt.R) in
+    Report_txt.pp_table
+      ~columns:
+        ([ (title, Report_txt.L); r "count" ]
+        @ if_vetoes [ r "vetoes" ]
+        @ [ r "p50"; r "p95"; r "p99" ])
+      ppf
+      (List.map
+         (fun g ->
+           [ g.g_key; string_of_int g.g_count ]
+           @ if_vetoes [ string_of_int g.g_vetoes ]
+           @ [ q g.g_p50; q g.g_p95; q g.g_p99 ])
+         gs)
+
 let pp_report ?(top = 10) ppf records =
   let sps = spans records and evs = events records in
-  let txns =
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun r -> if r.r_txn <> 0 then Hashtbl.replace seen r.r_txn ())
-      records;
-    Hashtbl.length seen
-  in
+  let txns = txn_count records in
   Fmt.pf ppf "trace summary: %d spans, %d events, %d transactions%s@."
     (List.length sps) (List.length evs) txns
     (if truncated records then " (TRUNCATED by DMX_TRACE_MAX_MB)" else "");
@@ -392,86 +363,8 @@ let pp_report ?(top = 10) ppf records =
              (match r.r_outcome with Some o -> o | None -> "-");
            ])
          sps));
-  (match per_relation records with
-  | [] -> ()
-  | gs ->
-    Fmt.pf ppf "@.per-relation span latency (us):@.";
-    Report_txt.pp_table
-      ~columns:
-        [
-          ("relation", Report_txt.L);
-          ("count", Report_txt.R);
-          ("p50", Report_txt.R);
-          ("p95", Report_txt.R);
-          ("p99", Report_txt.R);
-        ]
-      ppf
-      (List.map
-         (fun g ->
-           [
-             g.g_key;
-             string_of_int g.g_count;
-             Printf.sprintf "%.1f" g.g_p50;
-             Printf.sprintf "%.1f" g.g_p95;
-             Printf.sprintf "%.1f" g.g_p99;
-           ])
-         gs));
-  (match per_attachment records with
-  | [] -> ()
-  | gs ->
-    Fmt.pf ppf "@.per-attachment span latency (us):@.";
-    Report_txt.pp_table
-      ~columns:
-        [
-          ("attachment", Report_txt.L);
-          ("count", Report_txt.R);
-          ("vetoes", Report_txt.R);
-          ("p50", Report_txt.R);
-          ("p95", Report_txt.R);
-          ("p99", Report_txt.R);
-        ]
-      ppf
-      (List.map
-         (fun g ->
-           [
-             g.g_key;
-             string_of_int g.g_count;
-             string_of_int g.g_vetoes;
-             Printf.sprintf "%.1f" g.g_p50;
-             Printf.sprintf "%.1f" g.g_p95;
-             Printf.sprintf "%.1f" g.g_p99;
-           ])
-         gs));
-  (match statements records with
-  | [] -> ()
-  | ss ->
-    Fmt.pf ppf "@.statements (from stmt.exec spans):@.";
-    Report_txt.pp_table
-      ~columns:
-        [
-          ("fingerprint", Report_txt.L);
-          ("calls", Report_txt.R);
-          ("errs", Report_txt.R);
-          ("rows", Report_txt.R);
-          ("p50", Report_txt.R);
-          ("p95", Report_txt.R);
-          ("plans", Report_txt.R);
-          ("statement", Report_txt.L);
-        ]
-      ppf
-      (List.map
-         (fun s ->
-           [
-             s.s_fp;
-             string_of_int s.s_calls;
-             string_of_int s.s_errors;
-             string_of_int s.s_rows;
-             Printf.sprintf "%.1f" s.s_p50;
-             Printf.sprintf "%.1f" s.s_p95;
-             string_of_int (List.length s.s_plans);
-             s.s_text;
-           ])
-         ss));
+  pp_groups ppf ~title:"relation" ~vetoes:false (per_relation records);
+  pp_groups ppf ~title:"attachment" ~vetoes:true (per_attachment records);
   (match lock_contention records with
   | [] -> ()
   | cs ->
@@ -495,13 +388,7 @@ let pp_report ?(top = 10) ppf records =
 
 let to_json ?(top = 10) records =
   let sps = spans records and evs = events records in
-  let txns =
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun r -> if r.r_txn <> 0 then Hashtbl.replace seen r.r_txn ())
-      records;
-    Hashtbl.length seen
-  in
+  let txns = txn_count records in
   let span_obj r =
     Obs_json.Obj
       [ ("name", Obs_json.Str r.r_name);
@@ -521,18 +408,6 @@ let to_json ?(top = 10) records =
         ("p95_us", Obs_json.Float g.g_p95);
         ("p99_us", Obs_json.Float g.g_p99) ]
   in
-  let stmt_obj s =
-    Obs_json.Obj
-      [ ("fingerprint", Obs_json.Str s.s_fp);
-        ("statement", Obs_json.Str s.s_text);
-        ("calls", Obs_json.Int s.s_calls);
-        ("errors", Obs_json.Int s.s_errors);
-        ("rows", Obs_json.Int s.s_rows);
-        ("p50_us", Obs_json.Float s.s_p50);
-        ("p95_us", Obs_json.Float s.s_p95);
-        ( "plans",
-          Obs_json.List (List.map (fun p -> Obs_json.Str p) s.s_plans) ) ]
-  in
   Obs_json.Obj
     [ ( "summary",
         Obs_json.Obj
@@ -548,8 +423,6 @@ let to_json ?(top = 10) records =
         Obs_json.List (List.map group_obj (per_relation records)) );
       ( "per_attachment",
         Obs_json.List (List.map group_obj (per_attachment records)) );
-      ( "statements",
-        Obs_json.List (List.map stmt_obj (statements records)) );
       ( "lock_contention",
         Obs_json.List
           (List.map

@@ -5,8 +5,11 @@
     dominated, what does each relation's and attachment type's latency
     distribution look like, and which (transaction, lock) pairs conflicted.
 
-    Quantiles here are {e nearest-rank} over the raw span samples — exact
-    and deterministic, unlike the online bucketed [Metrics.quantile]. *)
+    Those tables have no online counterpart; their quantiles are
+    {e nearest-rank} over the raw span samples — exact and deterministic,
+    unlike the online bucketed [Metrics.quantile]. Statements are not
+    aggregated here: {!replay_statements} feeds the [stmt.exec] spans to
+    {!Query_store}, whose bucketed quantiles the live views also report. *)
 
 type kind = Span | Event | Truncated
 
@@ -26,7 +29,8 @@ val parse_line : string -> (record, string) result
 
 val load_file : string -> record list * string list
 (** Records in file order plus per-line parse errors (blank lines are
-    skipped). *)
+    skipped). A path that cannot be opened or read yields one error and the
+    records read so far; nothing is raised. *)
 
 type node = { n_rec : record; mutable n_kids : node list }
 
@@ -58,22 +62,12 @@ val per_relation : record list -> group_stats list
 val per_attachment : record list -> group_stats list
 (** [attach.*] spans grouped by their [attachment] attribute. *)
 
-type stmt_stats = {
-  s_fp : string;
-  s_text : string;  (** normalized statement text (empty if not traced) *)
-  s_calls : int;
-  s_errors : int;
-  s_rows : int;
-  s_p50 : float;
-  s_p95 : float;
-  s_plans : string list;
-      (** distinct plan hashes, in order of first appearance *)
-}
-
-val statements : record list -> stmt_stats list
-(** Per-fingerprint statistics reconstructed from [stmt.exec] spans — the
-    offline counterpart of the live [dmx_statements] view, sorted by call
-    count. *)
+val replay_statements : record list -> unit
+(** Fold every [stmt.exec] span into {!Query_store} through
+    {!Query_store.exec_of_span} and {!Query_store.record} — the same
+    aggregation the live store runs, so the offline statement table is the
+    online one. The caller sets the store up (reset, capacity, enabled);
+    spans without the store's attributes (older traces) are skipped. *)
 
 type contention = {
   c_waiter : int;
@@ -96,11 +90,10 @@ val truncated : record list -> bool
 
 val pp_report : ?top:int -> Format.formatter -> record list -> unit
 (** The full text report: summary line, critical path, top-N spans,
-    per-relation and per-attachment quantile tables, statements, lock
-    contention, deadlock victims. *)
+    per-relation and per-attachment quantile tables, lock contention,
+    deadlock victims. *)
 
 val to_json : ?top:int -> record list -> Obs_json.t
 (** The same report as one JSON object ([dmx_prof --json]): keys [summary],
     [critical_path], [top_spans], [per_relation], [per_attachment],
-    [statements], [lock_contention], [deadlock_victims] — stable for CI
-    diffing. *)
+    [lock_contention], [deadlock_victims] — stable for CI diffing. *)

@@ -96,4 +96,4 @@ let hash s =
   !h
 
 let of_text text = hash (normalize text)
-let hex h = Printf.sprintf "%016Lx" h
+let hex = Dmx_obs.Query_store.hex

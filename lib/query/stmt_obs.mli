@@ -3,8 +3,11 @@
     {!observed} brackets one statement execution: fingerprints the literal
     text ({!Fingerprint}), opens a [stmt.exec] trace span, snapshots the
     engine's own accounting ([Io_stats], lock conflicts/waits, WAL bytes,
-    attachment vetoes) before the body runs, diffs it after, and folds the
-    totals into {!Dmx_obs.Query_store}. It emits the [plan.changed] event
+    attachment vetoes) before the body runs, diffs it after, and builds one
+    {!Dmx_obs.Query_store.exec} record from the totals: folded into the
+    store when it is enabled, and attached to the [stmt.exec] span
+    ({!Dmx_obs.Query_store.exec_attrs}) so an offline replay folds the
+    same record. It emits the [plan.changed] event
     when the store detects a fingerprint's plan hash flipping, and the
     [stmt.slow] event (literal text, plan hash, bound stats) when the
     execution crosses [Event_ring.slow_us]. Inactive — no [Trace] consumer

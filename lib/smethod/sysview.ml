@@ -195,7 +195,7 @@ let events_rows _ctx =
          Value.int e.e_txid; flt e.e_us; str e.e_outcome; bool e.e_slow |])
     (Dmx_obs.Event_ring.snapshot ())
 
-let fp_hex h = str (Printf.sprintf "%016Lx" h)
+let fp_hex h = str (Dmx_obs.Query_store.hex h)
 
 let statements_rows _ctx =
   List.map
@@ -207,7 +207,7 @@ let statements_rows _ctx =
       in
       let current_plan =
         match e.e_plans with
-        | { pu_hash; _ } :: _ -> Printf.sprintf "%016Lx" pu_hash
+        | { pu_hash; _ } :: _ -> Dmx_obs.Query_store.hex pu_hash
         | [] -> ""
       in
       [| fp_hex e.e_fp; str e.e_text; Value.int e.e_calls;

@@ -504,6 +504,14 @@ let test_analyzer_golden () =
   let want = read_file "fixtures/trace_pr3.report.txt" in
   Alcotest.(check string) "golden report" want got
 
+(* A path that cannot be read (here a directory) is an error in the
+   result, not an exception: dmx_prof reports it and exits through "no
+   trace records". *)
+let test_load_unreadable_path () =
+  let records, errors = Trace_reader.load_file Filename.current_dir_name in
+  Alcotest.(check int) "no records" 0 (List.length records);
+  Alcotest.(check int) "one error" 1 (List.length errors)
+
 let suite =
   [
     Alcotest.test_case "histogram quantiles" `Quick test_metrics_quantile;
@@ -518,6 +526,7 @@ let suite =
     Alcotest.test_case "explain analyze on an indexed join" `Quick
       test_explain_analyze_join;
     Alcotest.test_case "trace file round-trip" `Quick test_trace_round_trip;
+    Alcotest.test_case "unreadable trace path" `Quick test_load_unreadable_path;
     Alcotest.test_case "DMX_TRACE_MAX_MB truncation" `Quick
       test_trace_cap_truncates;
     Alcotest.test_case "reader: cut mid-record" `Quick

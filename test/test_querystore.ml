@@ -8,6 +8,9 @@ module Fingerprint = Dmx_query.Fingerprint
 module Query_store = Dmx_obs.Query_store
 module Event_ring = Dmx_obs.Event_ring
 module Metrics = Dmx_obs.Metrics
+module Trace = Dmx_obs.Trace
+module Trace_reader = Dmx_obs.Trace_reader
+module Obs_json = Dmx_obs.Obs_json
 
 (* Every test restores the store/ring state it touched. *)
 let with_store f =
@@ -74,6 +77,7 @@ let mk_exec ?(us = 10.) ?(rows = 1) ?(error = false) ?plan fp =
     Query_store.x_fp = Int64.of_int fp;
     x_text = Fmt.str "select %d" fp;
     x_sample = Fmt.str "select %d" fp;
+    x_ts = Unix.gettimeofday ();
     x_us = us;
     x_rows = rows;
     x_error = error;
@@ -348,6 +352,173 @@ let test_plan_change_emits_event () =
                 Ok ())));
       Db.close db)
 
+(* Lowering the capacity takes effect at the next insertion, which evicts
+   back below the new bound rather than one entry per insertion. *)
+let test_capacity_shrinks () =
+  with_store (fun () ->
+      Query_store.set_enabled true;
+      Query_store.reset ();
+      Query_store.set_capacity 32;
+      for fp = 1 to 20 do
+        ignore (Query_store.record (mk_exec fp))
+      done;
+      Query_store.set_capacity 5;
+      for fp = 21 to 25 do
+        ignore (Query_store.record (mk_exec fp))
+      done;
+      Alcotest.(check int) "back at the new capacity" 5 (Query_store.size ());
+      Alcotest.(check (list int)) "the newest survive" [ 21; 22; 23; 24; 25 ]
+        (fps ());
+      Alcotest.(check int) "every victim counted" 20 (Query_store.evicted ()))
+
+(* ---- one aggregation: the trace replays into the same statistics ---- *)
+
+let outcome_of x = Some (if x.Query_store.x_error then "error" else "ok")
+
+let gen_exec =
+  let open QCheck.Gen in
+  let text =
+    map (String.concat "")
+      (list_size (int_range 0 12)
+         (oneofl
+            [ "select"; " "; "'"; "\""; "\\"; "?"; "\n"; "\t"; "\001";
+              "\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; "a" ]))
+  in
+  let count = int_range 0 1_000_000 in
+  let* fp = ui64 and* text = text and* ns = int_range 0 (1 lsl 40) in
+  let* rows = count and* error = bool and* plan = opt ui64 in
+  let* hits = count and* misses = count and* reads = count in
+  let* wal = count and* conflicts = count and* waits = count
+  and* vetoes = count and* ts = float_range 0. 2e9 in
+  return
+    {
+      Query_store.x_fp = fp;
+      x_text = text;
+      x_sample = text;
+      x_ts = ts;
+      x_us = Query_store.us_of_ns ns;
+      x_rows = rows;
+      x_error = error;
+      x_pool_hits = hits;
+      x_pool_misses = misses;
+      x_page_reads = reads;
+      x_wal_bytes = wal;
+      x_lock_conflicts = conflicts;
+      x_lock_waits = waits;
+      x_vetoes = vetoes;
+      x_plan = plan;
+    }
+
+let prop_exec_round_trip =
+  QCheck.Test.make ~count:500
+    ~name:"exec survives the stmt.exec span attributes"
+    (QCheck.make
+       ~print:(fun x ->
+         Obs_json.to_string (Obs_json.Obj (Query_store.exec_attrs x)))
+       gen_exec)
+    (fun x ->
+      let line = Obs_json.to_string (Obs_json.Obj (Query_store.exec_attrs x)) in
+      match Obs_json.parse line with
+      | Ok (Obs_json.Obj attrs) ->
+        Query_store.exec_of_span ~ts:x.x_ts ~outcome:(outcome_of x) attrs
+        = Some x
+      | _ -> false)
+
+let check_same (live : Query_store.entry) (replayed : Query_store.entry) =
+  let what s = Fmt.str "%s: %s" live.e_text s in
+  let int s a b = Alcotest.(check int) (what s) a b in
+  let near s a b = Alcotest.(check (float 1e-6)) (what s) a b in
+  Alcotest.(check string) (what "text") live.e_text replayed.e_text;
+  int "calls" live.e_calls replayed.e_calls;
+  int "errors" live.e_errors replayed.e_errors;
+  int "rows" live.e_rows replayed.e_rows;
+  int "pool hits" live.e_pool_hits replayed.e_pool_hits;
+  int "pool misses" live.e_pool_misses replayed.e_pool_misses;
+  int "page reads" live.e_page_reads replayed.e_page_reads;
+  int "wal bytes" live.e_wal_bytes replayed.e_wal_bytes;
+  int "lock conflicts" live.e_lock_conflicts replayed.e_lock_conflicts;
+  int "lock waits" live.e_lock_waits replayed.e_lock_waits;
+  int "vetoes" live.e_vetoes replayed.e_vetoes;
+  Alcotest.(check (array int)) (what "latency buckets")
+    (Metrics.histogram_counts live.e_latency)
+    (Metrics.histogram_counts replayed.e_latency);
+  Alcotest.(check (list int64)) (what "plan hashes")
+    (List.map (fun u -> u.Query_store.pu_hash) live.e_plans)
+    (List.map (fun u -> u.Query_store.pu_hash) replayed.e_plans);
+  near "first seen" live.e_first_seen replayed.e_first_seen;
+  near "last seen" live.e_last_seen replayed.e_last_seen;
+  List.iter2
+    (fun (a : Query_store.plan_use) (b : Query_store.plan_use) ->
+      near "plan first seen" a.pu_first_seen b.pu_first_seen;
+      near "plan last seen" a.pu_last_seen b.pu_last_seen)
+    live.e_plans replayed.e_plans
+
+let test_online_offline_parity () =
+  with_store (fun () ->
+      let lines = ref [] in
+      Fun.protect
+        ~finally:(fun () ->
+          Trace.set_enabled false;
+          Trace.use_default_sink ();
+          Trace.reset_for_testing ())
+      @@ fun () ->
+      let db = open_db () in
+      Query_store.set_enabled true;
+      Query_store.reset ();
+      seed db 300;
+      Trace.set_sink (fun l -> lines := l :: !lines);
+      Trace.set_enabled true;
+      let select ctx where =
+        ignore (Db.query db ctx (Query.select ~where "emp") ())
+      in
+      ignore
+        (check_ok "workload"
+           (Db.with_txn db (fun ctx ->
+                List.iter
+                  (fun sal -> select ctx (Fmt.str "salary > %d" sal))
+                  [ 5_000; 10_000; 15_000 ];
+                (* the shell brackets its DML verbs the same way *)
+                ignore
+                  (Dmx_query.Stmt_obs.observed ctx
+                     ~text:"insert into emp values (301, 'x', 'd1', 7)"
+                     ~rows:Fun.id (fun ~set_plan:_ ->
+                       Result.map
+                         (fun _ -> 1)
+                         (Db.insert db ctx ~relation:"emp"
+                            [| vi 301; vs "x"; vs "d1"; vi 7 |])));
+                (match
+                   Db.query db ctx (Query.select ~where:"no_such = 1" "emp") ()
+                 with
+                | Ok _ -> Alcotest.fail "query on a missing column succeeded"
+                | Error _ -> ());
+                select ctx "id = 7";
+                ignore
+                  (check_ok "idx"
+                     (Db.create_attachment db ctx ~relation:"emp"
+                        ~attachment_type:"btree_index" ~name:"pk"
+                        ~attrs:[ ("fields", "id"); ("unique", "true") ] ()));
+                select ctx "id = 8";
+                Ok ())));
+      Trace.set_enabled false;
+      let live = Query_store.entries () in
+      Alcotest.(check bool) "an error was recorded" true
+        (List.exists (fun e -> e.Query_store.e_errors > 0) live);
+      Alcotest.(check bool) "a plan flipped" true
+        (List.exists (fun e -> List.length e.Query_store.e_plans = 2) live);
+      Query_store.reset ();
+      List.rev !lines
+      |> List.map (fun l ->
+             match Trace_reader.parse_line l with
+             | Ok r -> r
+             | Error e -> Alcotest.failf "unparsable trace line %S: %s" l e)
+      |> Trace_reader.replay_statements;
+      let replayed = Query_store.entries () in
+      Alcotest.(check (list int64)) "same fingerprints"
+        (List.map (fun e -> e.Query_store.e_fp) live)
+        (List.map (fun e -> e.Query_store.e_fp) replayed);
+      List.iter2 check_same live replayed;
+      Db.close db)
+
 (* satellite: the telemetry-loss probe surfaces ring drops and trace
    truncation in the ordinary metrics snapshot *)
 let test_telemetry_loss_probe () =
@@ -378,4 +549,9 @@ let suite =
     Alcotest.test_case "plan change emits event" `Quick
       test_plan_change_emits_event;
     Alcotest.test_case "telemetry loss probe" `Quick test_telemetry_loss_probe;
+    Alcotest.test_case "lowered capacity shrinks the store" `Quick
+      test_capacity_shrinks;
+    QCheck_alcotest.to_alcotest prop_exec_round_trip;
+    Alcotest.test_case "online and offline statement parity" `Quick
+      test_online_offline_parity;
   ]
