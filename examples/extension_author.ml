@@ -162,17 +162,25 @@ module Bloom_attachment = struct
 
   type inst = { field : int; bits : int }
 
-  let enc_inst e i =
-    Codec.Enc.varint e i.field;
-    Codec.Enc.varint e i.bits
+  (* the registry cell and the instance list are common services: the
+     extension supplies only its payload codec *)
+  module Cell = Registry.Attachment_cell (struct let name = "Bloom" end)
 
-  let dec_inst d =
-    let field = Codec.Dec.varint d in
-    let bits = Codec.Dec.varint d in
-    { field; bits }
+  module Insts = Dmx_attach.Attach_util.Instances (struct
+    type t = inst
 
-  let insts_of slot = Dmx_attach.Attach_util.dec_instances dec_inst slot
-  let slot_of insts = Dmx_attach.Attach_util.enc_instances enc_inst insts
+    let id = Cell.id
+    let noun = "bloom filter"
+
+    let enc e i =
+      Codec.Enc.varint e i.field;
+      Codec.Enc.varint e i.bits
+
+    let dec d =
+      let field = Codec.Dec.varint d in
+      let bits = Codec.Dec.varint d in
+      { field; bits }
+  end)
 
   let filter_of rel_id no bits =
     match Hashtbl.find_opt filters (rel_id, no) with
@@ -199,9 +207,6 @@ module Bloom_attachment = struct
     let b = filter_of rel_id no inst.bits in
     List.iter (set_bit b) (hashes v inst.bits)
 
-  let reg_id = ref None
-  let id () = Option.get !reg_id
-
   module Impl = struct
     let name = "bloom"
 
@@ -212,61 +217,41 @@ module Bloom_attachment = struct
       ]
 
     let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
-      match Attrlist.validate attr_specs attrs with
+      Insts.create desc ~instance_name attr_specs attrs @@ fun ~no ->
+      match
+        Dmx_attach.Attach_util.parse_fields desc.schema
+          (Option.get (Attrlist.find attrs "field"))
+      with
       | Error e -> Error (Error.Ddl_error e)
-      | Ok () -> begin
-        match
-          Dmx_attach.Attach_util.parse_fields desc.schema
-            (Option.get (Attrlist.find attrs "field"))
-        with
-        | Error e -> Error (Error.Ddl_error e)
-        | Ok fields when Array.length fields <> 1 ->
-          Error (Error.Ddl_error "bloom: exactly one field")
-        | Ok fields ->
-          let bits =
-            match Attrlist.get_int attrs "bits" with
-            | Ok (Some n) when n > 64 -> n
-            | _ -> 4096
-          in
-          let insts =
-            match Descriptor.attachment_desc desc (id ()) with
-            | None -> []
-            | Some slot -> insts_of slot
-          in
-          let no = Dmx_attach.Attach_util.next_instance_no insts in
-          let inst = { field = fields.(0); bits } in
-          (* build from existing records *)
-          Dmx_attach.Attach_util.scan_relation ctx desc (fun _ record ->
-              if record.(inst.field) <> Value.Null then
-                add desc.rel_id no inst record.(inst.field));
-          Ok (slot_of (insts @ [ (no, instance_name, inst) ]))
-      end
-
-    let drop_instance _ctx (desc : Descriptor.t) ~instance_name =
-      match Descriptor.attachment_desc desc (id ()) with
-      | None -> Error (Error.No_such_attachment instance_name)
-      | Some slot ->
-        let remaining =
-          Dmx_attach.Attach_util.remove_by_name (insts_of slot) instance_name
+      | Ok fields when Array.length fields <> 1 ->
+        Error (Error.Ddl_error "bloom: exactly one field")
+      | Ok fields ->
+        let bits =
+          match Attrlist.get_int attrs "bits" with
+          | Ok (Some n) when n > 64 -> n
+          | _ -> 4096
         in
-        Ok (if remaining = [] then None else Some (slot_of remaining))
+        let inst = { field = fields.(0); bits } in
+        (* build from existing records *)
+        Dmx_attach.Attach_util.scan_relation ctx desc (fun _ record ->
+            if record.(inst.field) <> Value.Null then
+              add desc.rel_id no inst record.(inst.field));
+        Ok inst
+
+    let drop_instance _ctx desc ~instance_name = Insts.drop desc ~instance_name
 
     let on_insert _ctx (desc : Descriptor.t) ~slot _key record =
-      List.iter
-        (fun (no, _, inst) ->
+      Insts.each slot (fun no _ inst ->
           if record.(inst.field) <> Value.Null then
-            add desc.rel_id no inst record.(inst.field))
-        (insts_of slot);
-      Ok ()
+            add desc.rel_id no inst record.(inst.field);
+          Ok ())
 
     let on_update _ctx (desc : Descriptor.t) ~slot ~old_key:_ ~new_key:_
         ~old_record:_ ~new_record =
-      List.iter
-        (fun (no, _, inst) ->
+      Insts.each slot (fun no _ inst ->
           if new_record.(inst.field) <> Value.Null then
-            add desc.rel_id no inst new_record.(inst.field))
-        (insts_of slot);
-      Ok ()
+            add desc.rel_id no inst new_record.(inst.field);
+          Ok ())
 
     (* deletions leave bits set: the filter stays a conservative superset *)
     let on_delete _ctx _desc ~slot:_ _key _record = Ok ()
@@ -276,21 +261,14 @@ module Bloom_attachment = struct
     let undo _ctx ~rel_id:_ ~data:_ = ()
   end
 
-  let register () =
-    let i = Registry.register_attachment (module Impl) in
-    reg_id := Some i;
-    i
+  let register () = Cell.register (module Impl)
 
   let maybe_contains (desc : Descriptor.t) ~name v =
-    match Descriptor.attachment_desc desc (id ()) with
+    match Insts.find desc ~name with
     | None -> true
-    | Some slot -> begin
-      match Dmx_attach.Attach_util.find_by_name (insts_of slot) name with
-      | None -> true
-      | Some (no, inst) ->
-        let b = filter_of desc.rel_id no inst.bits in
-        List.for_all (get_bit b) (hashes v inst.bits)
-    end
+    | Some (no, inst) ->
+      let b = filter_of desc.rel_id no inst.bits in
+      List.for_all (get_bit b) (hashes v inst.bits)
 end
 
 (* ---------------------------------------------------------------------- *)

@@ -17,6 +17,15 @@ let log t ~source ~rel_id ~data =
 let log_many t ~source ~rel_id ~datas =
   Dmx_txn.Txn_mgr.log_ext_many t.txn_mgr t.txn ~source ~rel_id ~datas
 
+let set_attachment_slot t ~rel_id ~slot ~old_desc new_desc =
+  let module Catalog = Dmx_catalog.Catalog in
+  ignore
+    (log t ~source:Log_record.Catalog ~rel_id
+       ~data:
+         (Catalog.encode_op
+            (Catalog.Set_attachment { rel_id; slot; old_desc; new_desc })));
+  Catalog.set_attachment_slot t.catalog ~rel_id ~slot new_desc
+
 let lock t ~mode resource =
   match
     Dmx_lock.Lock_table.acquire t.locks ~txid:t.txn.Dmx_txn.Txn.id ~mode

@@ -30,6 +30,14 @@ val log_many : t -> source:Log_record.source -> rel_id:int ->
 (** Batched {!log}: one append per payload, issued contiguously — the bulk
     modification paths log a whole batch through this entry point. *)
 
+val set_attachment_slot :
+  t -> rel_id:int -> slot:int -> old_desc:string option -> string option ->
+  unit
+(** Common catalog service: replace one attachment slot of a relation's
+    descriptor, logging the [Set_attachment] undo record (carrying
+    [old_desc]) before the change. DDL and the attachment types that install
+    mirror instances on another relation all go through here. *)
+
 val lock :
   t -> mode:Dmx_lock.Lock_mode.t -> Dmx_lock.Lock_table.resource ->
   (unit, Error.t) result

@@ -1,4 +1,13 @@
+open Dmx_value
 open Dmx_catalog
+
+type sm_insert_batch =
+  Ctx.t -> Descriptor.t -> Record.t array ->
+  (Record_key.t array, Error.t) result
+
+type at_insert_batch =
+  Ctx.t -> Descriptor.t -> slot:string -> (Record_key.t * Record.t) array ->
+  (unit, Error.t) result
 
 let max_storage_methods = 64
 
@@ -45,7 +54,7 @@ module Vec = struct
   (* Optional batch entries. The default falls back to the per-record slot of
      the same vector index, so extensions that never register a batch routine
      keep exactly their per-record semantics; extensions with a cheaper bulk
-     form override their entry via [set_sm_insert_batch]/[set_at_insert_batch]. *)
+     form hand it to their registration call ([?insert_batch]). *)
   let default_sm_insert_batch id ctx desc records =
     let rec loop i acc =
       if i >= Array.length records then Ok (Array.of_list (List.rev acc))
@@ -91,7 +100,7 @@ let check_unique_name count arr name_of what name =
     | _ -> ()
   done
 
-let register_storage_method (module M : Intf.STORAGE_METHOD) =
+let register_storage_method ?insert_batch (module M : Intf.STORAGE_METHOD) =
   check_not_frozen ("storage method " ^ M.name);
   if !sm_count >= max_storage_methods then
     invalid_arg "Registry: storage-method vector full";
@@ -104,9 +113,10 @@ let register_storage_method (module M : Intf.STORAGE_METHOD) =
   Vec.sm_insert.(id) <- M.insert;
   Vec.sm_update.(id) <- M.update;
   Vec.sm_delete.(id) <- M.delete;
+  Option.iter (fun f -> Vec.sm_insert_batch.(id) <- f) insert_batch;
   id
 
-let register_attachment (module M : Intf.ATTACHMENT) =
+let register_attachment ?insert_batch (module M : Intf.ATTACHMENT) =
   check_not_frozen ("attachment " ^ M.name);
   if !at_count >= Descriptor.max_attachment_types then
     invalid_arg "Registry: attachment vector full";
@@ -119,19 +129,56 @@ let register_attachment (module M : Intf.ATTACHMENT) =
   Vec.at_on_insert.(id) <- M.on_insert;
   Vec.at_on_update.(id) <- M.on_update;
   Vec.at_on_delete.(id) <- M.on_delete;
+  Option.iter (fun f -> Vec.at_on_insert_batch.(id) <- f) insert_batch;
   id
 
-let set_sm_insert_batch id f =
-  check_not_frozen (Fmt.str "batch insert for storage method %d" id);
-  if id < 0 || id >= max_storage_methods then
-    invalid_arg "Registry.set_sm_insert_batch: bad id";
-  Vec.sm_insert_batch.(id) <- f
+module type CELL = sig
+  val id : unit -> int
+  val registered : unit -> bool
+end
 
-let set_at_insert_batch id f =
-  check_not_frozen (Fmt.str "batch insert for attachment %d" id);
-  if id < 0 || id >= Descriptor.max_attachment_types then
-    invalid_arg "Registry.set_at_insert_batch: bad id";
-  Vec.at_on_insert_batch.(id) <- f
+(* One registration cell per extension module: the id it was assigned,
+   [-1] until registration. Registering again returns the cached id, so the
+   default factory and a test fixture may both call [register]. *)
+module Cell (N : sig
+  val what : string
+end) =
+struct
+  let cell = ref (-1) [@@dmx.global "config-immutable-after-setup"]
+
+  let id () =
+    let id = !cell in
+    if id >= 0 then id
+    else Error.raise_err (Error.Internal (N.what ^ " not registered"))
+
+  let registered () = !cell >= 0
+
+  let register reg ?insert_batch m =
+    if !cell < 0 then cell := reg ?insert_batch m;
+    !cell
+end
+
+module Storage_method_cell (N : sig
+  val name : string
+end) =
+struct
+  include Cell (struct
+    let what = N.name ^ ": storage method"
+  end)
+
+  let register = register register_storage_method
+end
+
+module Attachment_cell (N : sig
+  val name : string
+end) =
+struct
+  include Cell (struct
+    let what = N.name ^ ": attachment"
+  end)
+
+  let register = register register_attachment
+end
 
 let freeze () = frozen := true
 let is_frozen () = !frozen

@@ -20,30 +20,58 @@ open Dmx_catalog
 
 val max_storage_methods : int
 
-val register_storage_method : (module Intf.STORAGE_METHOD) -> int
-(** Returns the assigned storage-method id. Raises [Invalid_argument] on
-    duplicate names, a full vector, or after {!freeze}. *)
+type sm_insert_batch =
+  Ctx.t -> Descriptor.t -> Record.t array ->
+  (Record_key.t array, Error.t) result
+(** The optional bulk-insert entry of a storage method's procedure vector. *)
 
-val register_attachment : (module Intf.ATTACHMENT) -> int
+type at_insert_batch =
+  Ctx.t -> Descriptor.t -> slot:string -> (Record_key.t * Record.t) array ->
+  (unit, Error.t) result
+(** The same for an attachment type's bulk [on_insert]. *)
+
+val register_storage_method :
+  ?insert_batch:sm_insert_batch -> (module Intf.STORAGE_METHOD) -> int
+(** Returns the assigned storage-method id. Raises [Invalid_argument] on
+    duplicate names, a full vector, or after {!freeze}. Without
+    [insert_batch] the bulk entry loops the per-record [sm_insert] slot, so
+    supplying one is purely an optimization. *)
+
+val register_attachment :
+  ?insert_batch:at_insert_batch -> (module Intf.ATTACHMENT) -> int
 (** Attachment type ids also index the relation descriptor's slots, so at most
     {!Descriptor.max_attachment_types} types exist. *)
 
-val set_sm_insert_batch :
-  int ->
-  (Ctx.t -> Descriptor.t -> Record.t array ->
-   (Record_key.t array, Error.t) result) ->
-  unit
-(** Override the optional bulk-insert entry of a storage method's procedure
-    vector. Without an override the entry loops the per-record [sm_insert]
-    slot, so registering one is purely an optimization. Raises after
-    {!freeze} or for an out-of-range id. *)
+(** An extension module's registration cell: the id the registry assigned
+    it. Each extension module applies one of the functors below once, at
+    top level, and keeps its [register]/[id] as one-line calls. *)
+module type CELL = sig
+  val id : unit -> int
+  (** The assigned id (one load); raises [Error.Internal] before
+      registration. *)
 
-val set_at_insert_batch :
-  int ->
-  (Ctx.t -> Descriptor.t -> slot:string -> (Record_key.t * Record.t) array ->
-   (unit, Error.t) result) ->
-  unit
-(** Same for an attachment type's bulk [on_insert] entry. *)
+  val registered : unit -> bool
+end
+
+module Storage_method_cell (_ : sig
+  val name : string  (** the module name, for the not-registered error *)
+end) : sig
+  include CELL
+
+  val register :
+    ?insert_batch:sm_insert_batch -> (module Intf.STORAGE_METHOD) -> int
+  (** {!register_storage_method} on the first call; later calls return the
+      cached id. *)
+end
+
+module Attachment_cell (_ : sig
+  val name : string
+end) : sig
+  include CELL
+
+  val register :
+    ?insert_batch:at_insert_batch -> (module Intf.ATTACHMENT) -> int
+end
 
 val freeze : unit -> unit
 val is_frozen : unit -> bool
@@ -90,17 +118,9 @@ module Vec : sig
      (unit, Error.t) result)
     array
 
-  (** Optional bulk entries (see {!set_sm_insert_batch} /
-      {!set_at_insert_batch}); the default implementations loop the
-      per-record slots above. *)
+  (** Optional bulk entries, supplied at registration; the default
+      implementations loop the per-record slots above. *)
 
-  val sm_insert_batch :
-    (Ctx.t -> Descriptor.t -> Record.t array ->
-     (Record_key.t array, Error.t) result)
-    array
-
-  val at_on_insert_batch :
-    (Ctx.t -> Descriptor.t -> slot:string ->
-     (Record_key.t * Record.t) array -> (unit, Error.t) result)
-    array
+  val sm_insert_batch : sm_insert_batch array
+  val at_on_insert_batch : at_insert_batch array
 end

@@ -1,6 +1,5 @@
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
-module Attrlist = Dmx_catalog.Attrlist
 module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
 module Lock_table = Dmx_lock.Lock_table
@@ -82,16 +81,8 @@ let create_attachment ctx ~relation ~attachment_type ~name ?(attrs = []) () =
   let (module A : Intf.ATTACHMENT) = Registry.attachment at_id in
   let old_slot = Descriptor.attachment_desc desc at_id in
   let* new_slot = A.create_instance ctx desc ~instance_name:name attrs in
-  log_catalog ctx ~rel_id:desc.Descriptor.rel_id
-    (Catalog.Set_attachment
-       {
-         rel_id = desc.Descriptor.rel_id;
-         slot = at_id;
-         old_desc = old_slot;
-         new_desc = Some new_slot;
-       });
-  Catalog.set_attachment_slot ctx.Ctx.catalog ~rel_id:desc.Descriptor.rel_id
-    ~slot:at_id (Some new_slot);
+  Ctx.set_attachment_slot ctx ~rel_id:desc.Descriptor.rel_id ~slot:at_id
+    ~old_desc:old_slot (Some new_slot);
   Ok ()
 
 let drop_attachment ctx ~relation ~attachment_type ~name =
@@ -101,14 +92,6 @@ let drop_attachment ctx ~relation ~attachment_type ~name =
   let (module A : Intf.ATTACHMENT) = Registry.attachment at_id in
   let old_slot = Descriptor.attachment_desc desc at_id in
   let* new_slot = A.drop_instance ctx desc ~instance_name:name in
-  log_catalog ctx ~rel_id:desc.Descriptor.rel_id
-    (Catalog.Set_attachment
-       {
-         rel_id = desc.Descriptor.rel_id;
-         slot = at_id;
-         old_desc = old_slot;
-         new_desc = new_slot;
-       });
-  Catalog.set_attachment_slot ctx.Ctx.catalog ~rel_id:desc.Descriptor.rel_id
-    ~slot:at_id new_slot;
+  Ctx.set_attachment_slot ctx ~rel_id:desc.Descriptor.rel_id ~slot:at_id
+    ~old_desc:old_slot new_slot;
   Ok ()

@@ -6,12 +6,9 @@ module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
 module Btree = Dmx_btree.Btree
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
+module Cell = Registry.Storage_method_cell (struct let name = "Btree_org" end)
 
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Btree_org: storage method not registered")
+let id = Cell.id
 
 (* ---- descriptor ---- *)
 
@@ -338,12 +335,4 @@ include Impl
 
 let tree ctx desc = tree_of ctx (bdesc_of desc)
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    id
+let register () = Cell.register (module Impl)

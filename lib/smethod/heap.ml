@@ -6,12 +6,9 @@ module Attrlist = Dmx_catalog.Attrlist
 module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
+module Cell = Registry.Storage_method_cell (struct let name = "Heap" end)
 
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Heap: storage method not registered")
+let id = Cell.id
 
 (* ---- descriptor: data page list + advisory record count ---- *)
 
@@ -545,13 +542,4 @@ end
 
 include Impl
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    Registry.set_sm_insert_batch id Impl.insert_batch;
-    id
+let register () = Cell.register ~insert_batch:Impl.insert_batch (module Impl)

@@ -4,12 +4,9 @@ module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
 module Log_record = Dmx_wal.Log_record
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
+module Cell = Registry.Storage_method_cell (struct let name = "Memory" end)
 
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Memory: storage method not registered")
+let id = Cell.id
 
 (* Per-relation in-process store. The sequence number is the record key
    (represented as a RID with page 0). *)
@@ -224,12 +221,4 @@ end
 
 include Impl
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    id
+let register () = Cell.register (module Impl)

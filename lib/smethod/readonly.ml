@@ -6,12 +6,9 @@ module Attrlist = Dmx_catalog.Attrlist
 module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
+module Cell = Registry.Storage_method_cell (struct let name = "Readonly" end)
 
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Readonly: storage method not registered")
+let id = Cell.id
 
 type rdesc = { pages : int list; count : int; sealed : bool }
 
@@ -225,12 +222,4 @@ end
 
 include Impl
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    id
+let register () = Cell.register (module Impl)

@@ -3,12 +3,9 @@ open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
+module Cell = Registry.Storage_method_cell (struct let name = "Temp" end)
 
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Temp: storage method not registered")
+let id = Cell.id
 
 module Imap = Map.Make (Int)
 
@@ -142,12 +139,4 @@ end
 
 include Impl
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    id
+let register () = Cell.register (module Impl)

@@ -217,7 +217,118 @@ let test_attachment_ddl_validation () =
    with
   | Error (Error.No_such_attachment _) -> ()
   | _ -> Alcotest.fail "dropping a missing instance succeeded");
+  (* every registered type: a second instance of the same name and the drop
+     of a missing one are refused by the shared instance-list service *)
+  let box =
+    Schema.make_exn
+      (Schema.column ~nullable:false "id" Value.Tint
+       :: Schema.column "dept" Value.Tstring
+       :: List.map
+            (fun c -> Schema.column c Value.Tint)
+            [ "xlo"; "ylo"; "xhi"; "yhi" ])
+  in
+  ignore
+    (check_ok "box"
+       (Ddl.create_relation ctx ~name:"box" ~schema:box ~storage_method:"heap"
+          ()));
+  let valid_attrs =
+    [
+      ("btree_index", [ ("fields", "id") ]);
+      ("hash_index", [ ("fields", "id") ]);
+      ("rtree_index", [ ("rect", "xlo,ylo,xhi,yhi") ]);
+      ("join_index", [ ("field", "id"); ("other", "t"); ("other_field", "id") ]);
+      ("check", [ ("predicate", "id > 0") ]);
+      ("refint", [ ("fields", "id"); ("parent", "t"); ("parent_fields", "id") ]);
+      ("trigger", [ ("function", "audit"); ("events", "insert") ]);
+      ("stats", [ ("fields", "id") ]);
+      ("agg", [ ("group", "dept"); ("sum", "id") ]);
+    ]
+  in
+  List.iter
+    (fun (_, ty) ->
+      let attrs =
+        match List.assoc_opt ty valid_attrs with
+        | Some attrs -> attrs
+        | None -> Alcotest.failf "no valid attributes listed for type %s" ty
+      in
+      let create () =
+        Ddl.create_attachment ctx ~relation:"box" ~attachment_type:ty
+          ~name:"twice" ~attrs ()
+      in
+      check_ok (ty ^ " first") (create ());
+      (match create () with
+      | Error (Error.Ddl_error _) -> ()
+      | _ -> Alcotest.failf "%s: duplicate instance name accepted" ty);
+      match
+        Ddl.drop_attachment ctx ~relation:"box" ~attachment_type:ty
+          ~name:"nosuch"
+      with
+      | Error (Error.No_such_attachment _) -> ()
+      | _ -> Alcotest.failf "%s: dropping a missing instance succeeded" ty)
+    (Registry.attachments ());
   Services.abort services ctx
+
+(* One DDL call installs a join index or a referential constraint on two
+   relations. Dropping it removes the mirror instance from the other
+   relation's slot too, and aborting the drop restores both sides. *)
+let test_mirror_drop_and_abort () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  List.iter
+    (fun name ->
+      ignore
+        (check_ok name
+           (Ddl.create_relation ctx ~name ~schema:emp_schema
+              ~storage_method:"heap" ())))
+    [ "dept_p"; "emp_c" ];
+  check_ok "join"
+    (Ddl.create_attachment ctx ~relation:"emp_c" ~attachment_type:"join_index"
+       ~name:"j" ~attrs:[ ("field", "id"); ("other", "dept_p");
+                          ("other_field", "id") ] ());
+  check_ok "refint"
+    (Ddl.create_attachment ctx ~relation:"emp_c" ~attachment_type:"refint"
+       ~name:"fk" ~attrs:[ ("fields", "id"); ("parent", "dept_p");
+                           ("parent_fields", "id") ] ());
+  Services.commit services ctx;
+  let present ctx ty =
+    let at_id = Option.get (Registry.attachment_id ty) in
+    List.map
+      (fun rel ->
+        let desc = Option.get (Dmx_catalog.Catalog.find ctx.Ctx.catalog rel) in
+        Dmx_catalog.Descriptor.attachment_desc desc at_id <> None)
+      [ "emp_c"; "dept_p" ]
+  in
+  let check_both what ctx expected =
+    List.iter
+      (fun ty ->
+        Alcotest.(check (list bool)) (what ^ " " ^ ty) [ expected; expected ]
+          (present ctx ty))
+      [ "join_index"; "refint" ]
+  in
+  let ctx = Services.begin_txn services in
+  check_both "created" ctx true;
+  check_ok "drop join"
+    (Ddl.drop_attachment ctx ~relation:"emp_c" ~attachment_type:"join_index"
+       ~name:"j");
+  check_ok "drop refint"
+    (Ddl.drop_attachment ctx ~relation:"emp_c" ~attachment_type:"refint"
+       ~name:"fk");
+  check_both "dropped" ctx false;
+  Services.abort services ctx;
+  let ctx = Services.begin_txn services in
+  check_both "aborted" ctx true;
+  (* the restored parent-side mirror still acts: a referenced parent cannot
+     be deleted *)
+  let parent = Option.get (Dmx_catalog.Catalog.find ctx.Ctx.catalog "dept_p") in
+  let child = Option.get (Dmx_catalog.Catalog.find ctx.Ctx.catalog "emp_c") in
+  let pk = check_ok "parent" (Relation.insert ctx parent (emp 1 "p" "eng" 1)) in
+  ignore (check_ok "child" (Relation.insert ctx child (emp 1 "c" "eng" 1)));
+  (match Relation.delete ctx parent pk with
+  | Error (Error.Veto _) -> ()
+  | _ -> Alcotest.fail "referenced parent deleted after the aborted drop");
+  Alcotest.(check int) "join pair seen from the parent side" 1
+    (List.length (Dmx_attach.Join_index.pairs ctx parent ~name:"j"));
+  Services.commit services ctx
 
 let test_index_build_from_existing () =
   let services = fresh_services () in
@@ -399,4 +510,6 @@ let suite =
       test_attachment_ddl_validation;
     Alcotest.test_case "building attachments from existing records" `Quick
       test_index_build_from_existing;
+    Alcotest.test_case "mirror instances follow drop and abort" `Quick
+      test_mirror_drop_and_abort;
   ]

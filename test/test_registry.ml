@@ -3,10 +3,11 @@
 
    The registry is global, freeze-once state shared by every suite, so each
    scenario runs inside [with_scratch_registry]: the current registrations
-   are captured (as first-class module handles), the registry is reset for
-   the scenario, and afterwards everything is re-registered in the original
-   id order and the frozen flag restored — extension modules cache their
-   assigned ids, so restoring the order restores consistency. *)
+   are captured (as first-class module handles with their batch vector
+   entries), the registry is reset for the scenario, and afterwards
+   everything is re-registered in the original id order and the frozen flag
+   restored — extension modules cache their assigned ids, so restoring the
+   order restores consistency. *)
 
 open Dmx_core
 open Dmx_value
@@ -14,18 +15,30 @@ module Descriptor = Dmx_catalog.Descriptor
 
 let with_scratch_registry f =
   let saved_sm =
-    List.map (fun (id, _) -> Registry.storage_method id) (Registry.storage_methods ())
+    List.map
+      (fun (id, _) ->
+        (Registry.storage_method id, Registry.Vec.sm_insert_batch.(id)))
+      (Registry.storage_methods ())
   in
   let saved_at =
-    List.map (fun (id, _) -> Registry.attachment id) (Registry.attachments ())
+    List.map
+      (fun (id, _) ->
+        (Registry.attachment id, Registry.Vec.at_on_insert_batch.(id)))
+      (Registry.attachments ())
   in
   let was_frozen = Registry.is_frozen () in
   Registry.reset_for_testing ();
   Fun.protect
     ~finally:(fun () ->
       Registry.reset_for_testing ();
-      List.iter (fun m -> ignore (Registry.register_storage_method m)) saved_sm;
-      List.iter (fun m -> ignore (Registry.register_attachment m)) saved_at;
+      List.iter
+        (fun (m, insert_batch) ->
+          ignore (Registry.register_storage_method ~insert_batch m))
+        saved_sm;
+      List.iter
+        (fun (m, insert_batch) ->
+          ignore (Registry.register_attachment ~insert_batch m))
+        saved_at;
       if was_frozen then Registry.freeze ())
     f
 
@@ -129,6 +142,46 @@ let test_scratch_restores () =
     "registrations restored in id order" before
     (Registry.storage_methods ())
 
+(* A scratch cycle must hand the native batch entries back too: heap's bulk
+   insert and the B-tree index's sorted-batch maintenance pin a few hundred
+   pages for a 2000-row bulk insert, the per-record fallbacks about five per
+   row. Earlier scratch cycles in the same run count too, so the check is
+   against the row count, not only against the pins before the cycle. *)
+let bulk_rows = 2000
+
+let insert_many_pins () =
+  let sv = Test_util.fresh_services () in
+  let ctx = Services.begin_txn sv in
+  let desc =
+    Test_util.check_ok "create"
+      (Dmx_ddl.Ddl.create_relation ctx ~name:"t" ~schema:Test_util.emp_schema
+         ~storage_method:"heap" ())
+  in
+  Test_util.check_ok "index"
+    (Dmx_ddl.Ddl.create_attachment ctx ~relation:"t"
+       ~attachment_type:"btree_index" ~name:"by_id"
+       ~attrs:[ ("fields", "id") ] ());
+  let rows =
+    Array.init bulk_rows (fun i -> Test_util.emp i (Fmt.str "e%d" i) "eng" i)
+  in
+  let io = Services.io_stats sv in
+  let before = Dmx_page.Io_stats.copy io in
+  ignore (Test_util.check_ok "insert_many" (Relation.insert_many ctx desc rows));
+  let d = Dmx_page.Io_stats.diff ~after:io ~before in
+  Services.commit sv ctx;
+  Services.close sv;
+  d.pool_hits + d.pool_misses
+
+let test_scratch_keeps_batch_entries () =
+  let before = insert_many_pins () in
+  with_scratch_registry ignore;
+  let after = insert_many_pins () in
+  Alcotest.(check int) "bulk-insert pins unchanged by a scratch cycle" before
+    after;
+  if after >= bulk_rows then
+    Alcotest.failf "bulk insert of %d rows pinned %d pages: a batch entry fell \
+                    back to the per-record slot" bulk_rows after
+
 let suite =
   [
     Alcotest.test_case "duplicate name rejected" `Quick test_duplicate_name;
@@ -139,4 +192,6 @@ let suite =
       test_unregistered_dispatch;
     Alcotest.test_case "scratch registry restores state" `Quick
       test_scratch_restores;
+    Alcotest.test_case "scratch registry keeps batch entries" `Quick
+      test_scratch_keeps_batch_entries;
   ]
